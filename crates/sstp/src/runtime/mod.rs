@@ -15,7 +15,8 @@
 //! * **Rate control** ([`pacing`]): a per-session token bucket bounds
 //!   each session's hot traffic; a global bucket bounds the socket; a
 //!   [`pacing::VarRateLimit`] paces cold announce batches and is the
-//!   knob the degradation policy turns.
+//!   knob the degradation policy turns. Publishers whose summary is due
+//!   wait for its grants in a FIFO: arrival order is the fairness.
 //! * **Supervision** ([`supervisor`]): dead-peer detection after a
 //!   silence threshold, capped-exponential re-probes (the same
 //!   `base * 2^min(n,4)` schedule as the receiver's repair backoff),
@@ -39,6 +40,21 @@
 //! [`Runtime::run_for`] drives it with the deadline-aware socket wait
 //! from [`wait`]). Scale across cores by running several runtimes, each
 //! owning its own socket.
+//!
+//! The loop is **event-driven**: a poll costs O(ready + due), not
+//! O(sessions), so an idle session costs its refresh timers and nothing
+//! in between. A *ready list* holds the sessions with something to do
+//! now (a datagram routed to them, a `&mut` handed to the application, a
+//! fresh install); a [`pacing::DeadlineIndex`] holds every session's
+//! next wake-up as a lazily validated lower bound — an entry is pushed
+//! only when a deadline moves earlier, one that moves later is found out
+//! when the old entry surfaces — which is what keeps per-datagram paths
+//! off the heap; the [`supervisor`] indexes its probe deadlines the same
+//! way and keeps its gauges as running counts. The design's failure mode
+//! is a missed wake-up, so every path that makes a session runnable
+//! either marks it ready or arms a deadline (`tests/runtime_poll.rs`
+//! pins each), and the loop counts its own work
+//! (`runtime.poll.{count,sessions_stepped,timers_fired}`).
 
 pub mod mux;
 pub mod pacing;
@@ -51,12 +67,13 @@ use crate::receiver::{ReceiverConfig, SstpReceiver};
 use crate::sender::SstpSender;
 use crate::wire::Packet;
 use mux::{BoundedQueue, SocketMux, FRAME_OVERHEAD};
-use pacing::{TokenBucket, VarRateLimit};
+use pacing::{DeadlineIndex, TokenBucket, VarRateLimit};
 use shed::{Outbound, SheddingQueue, TrafficClass};
 use ss_netsim::{
     Bandwidth, Clock, CounterId, GaugeId, LossModel, LossSpec, MetricsRegistry, MetricsSnapshot,
     RealPathFaults, SimDuration, SimRng, SimTime, SketchId,
 };
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -164,6 +181,10 @@ enum Endpoint {
         next_summary: SimTime,
         /// A hot packet built but throttled by the session bucket.
         pending: Option<Packet>,
+        /// The summary is due and the session is queued at the cold
+        /// pacer (it is in `Runtime::cold_queue` exactly while this is
+        /// set).
+        awaiting_cold: bool,
     },
     Subscriber {
         receiver: SstpReceiver,
@@ -176,6 +197,17 @@ enum Endpoint {
 struct SessionSlot {
     endpoint: Endpoint,
     inbox: BoundedQueue<Packet>,
+    /// The session is in `Runtime::ready` (exactly while this is set).
+    ready: bool,
+}
+
+/// Queues session `sid` for a step on the next poll, once: `queued` is
+/// its slot's `ready` flag.
+fn mark_ready(queued: &mut bool, ready: &mut Vec<u32>, sid: u32) {
+    if !*queued {
+        *queued = true;
+        ready.push(sid);
+    }
 }
 
 /// Pre-registered metric handles (registered once in [`Runtime::bind`];
@@ -195,6 +227,11 @@ struct Ids {
     probes: CounterId,
     heals: CounterId,
     mttr: SketchId,
+    polls: CounterId,
+    sessions_stepped: CounterId,
+    timers_fired: CounterId,
+    cold_queue_high_water: GaugeId,
+    timers_high_water: GaugeId,
 }
 
 /// Deltas already folded into the metrics registry (counters are
@@ -221,10 +258,21 @@ pub struct Runtime {
     cold_pacer: VarRateLimit,
     base_cold_rate: u32,
     sessions: Vec<Option<SessionSlot>>,
-    /// Round-robin start index for session stepping: cold-path pacer
-    /// grants are contended, so a fixed order would let low session ids
-    /// starve high ones of summary slots.
-    step_cursor: usize,
+    /// Sessions with something to do *now*: a datagram in the inbox, a
+    /// `&mut` handed to the application, a fresh install, a fired timer.
+    ready: Vec<u32>,
+    /// Each session's next wake-up (throttle eta, summary, report,
+    /// expiry, feedback), as lower bounds — see [`DeadlineIndex`].
+    timers: DeadlineIndex,
+    /// Publishers whose summary is due, in arrival order, waiting for a
+    /// cold-pacer grant. Served from the front only: arrival order is the
+    /// fairness, and sessions behind the front cost nothing until their
+    /// turn.
+    cold_queue: VecDeque<u32>,
+    cold_queue_high_water: usize,
+    /// `outbox.stats().shed_cold` as of the previous poll: the overload
+    /// policy's own cursor, independent of the metrics fold.
+    last_shed_cold: u64,
     supervisor: Supervisor,
     outbox: SheddingQueue,
     faults: Option<RealPathFaults>,
@@ -233,7 +281,11 @@ pub struct Runtime {
     injected_drops: u64,
     unknown_session: u64,
     throttled: u64,
-    closed_backpressure: u64,
+    /// Inbox refusals, all sessions ever installed.
+    backpressure: u64,
+    polls: u64,
+    sessions_stepped: u64,
+    timers_fired: u64,
     metrics: MetricsRegistry,
     ids: Ids,
     synced: Synced,
@@ -258,6 +310,11 @@ impl Runtime {
         let probes = metrics.counter("runtime.probe.sent");
         let heals = metrics.counter("runtime.session.heals");
         let mttr = metrics.sketch("runtime.session.mttr");
+        let polls = metrics.counter("runtime.poll.count");
+        let sessions_stepped = metrics.counter("runtime.poll.sessions_stepped");
+        let timers_fired = metrics.counter("runtime.poll.timers_fired");
+        let cold_queue_high_water = metrics.gauge("runtime.cold.queue_high_water");
+        let timers_high_water = metrics.gauge("runtime.timers.high_water");
         let ids = Ids {
             active,
             backpressure,
@@ -273,6 +330,11 @@ impl Runtime {
             probes,
             heals,
             mttr,
+            polls,
+            sessions_stepped,
+            timers_fired,
+            cold_queue_high_water,
+            timers_high_water,
         };
         // A lossless spec consumes no randomness at all, matching the
         // simulator channels' draw discipline. A lossy one is built
@@ -288,7 +350,11 @@ impl Runtime {
             cold_pacer: VarRateLimit::new(cfg.cold_rate),
             base_cold_rate: cfg.cold_rate.max(1),
             sessions: Vec::new(),
-            step_cursor: 0,
+            ready: Vec::new(),
+            timers: DeadlineIndex::new(),
+            cold_queue: VecDeque::new(),
+            cold_queue_high_water: 0,
+            last_shed_cold: 0,
             supervisor: Supervisor::new(cfg.supervisor, SimRng::new(cfg.seed ^ 0x5cbe_11a7)),
             outbox: SheddingQueue::new(cfg.outbox_capacity, cfg.outbox_cold_watermark),
             faults: None,
@@ -297,7 +363,10 @@ impl Runtime {
             injected_drops: 0,
             unknown_session: 0,
             throttled: 0,
-            closed_backpressure: 0,
+            backpressure: 0,
+            polls: 0,
+            sessions_stepped: 0,
+            timers_fired: 0,
             metrics,
             ids,
             synced: Synced::default(),
@@ -346,6 +415,7 @@ impl Runtime {
             bucket: TokenBucket::new(self.cfg.session_bandwidth),
             next_summary: now,
             pending: None,
+            awaiting_cold: false,
         };
         self.install(endpoint, now)
     }
@@ -363,23 +433,28 @@ impl Runtime {
     }
 
     fn install(&mut self, endpoint: Endpoint, now: SimTime) -> u32 {
-        let slot = SessionSlot {
-            endpoint,
-            inbox: BoundedQueue::new(self.cfg.inbox_capacity),
-        };
         // Reuse the first crashed (vacated) slot before growing.
         let sid = match self.sessions.iter().position(Option::is_none) {
-            Some(i) => {
-                self.sessions[i] = Some(slot);
-                i as u32
-            }
+            Some(i) => i,
             None => {
-                self.sessions.push(Some(slot));
-                (self.sessions.len() - 1) as u32
+                self.sessions.push(None);
+                self.sessions.len() - 1
             }
-        };
-        self.supervisor.register(sid, now);
+        } as u32;
+        self.occupy(sid, endpoint, now);
         sid
+    }
+
+    /// Puts a fresh session into the vacant slot `sid`, ready to be
+    /// stepped by the next poll — which is what arms its timers.
+    fn occupy(&mut self, sid: u32, endpoint: Endpoint, now: SimTime) {
+        let slot = self.sessions[sid as usize].insert(SessionSlot {
+            endpoint,
+            inbox: BoundedQueue::new(self.cfg.inbox_capacity),
+            ready: false,
+        });
+        mark_ready(&mut slot.ready, &mut self.ready, sid);
+        self.supervisor.register(sid, now);
     }
 
     /// Crashes session `sid` (churn): the state machine and its queued
@@ -388,9 +463,20 @@ impl Runtime {
     /// root-summary descent, exactly like the sim's crash-rejoin path.
     pub fn crash(&mut self, sid: u32) {
         if let Some(slot) = self.sessions.get_mut(sid as usize) {
-            if let Some(s) = slot.take() {
-                // The dying inbox's refusals stay counted.
-                self.closed_backpressure += s.inbox.drops();
+            if let Some(dead) = slot.take() {
+                // Nothing of the dead occupant may wake whoever reuses
+                // the slot: not its timers, not its place in a queue.
+                self.timers.vacate(sid);
+                if dead.ready {
+                    self.ready.retain(|&r| r != sid);
+                }
+                if let Endpoint::Publisher {
+                    awaiting_cold: true,
+                    ..
+                } = dead.endpoint
+                {
+                    self.cold_queue.retain(|&q| q != sid);
+                }
             }
             self.supervisor.crash(sid);
         }
@@ -405,26 +491,29 @@ impl Runtime {
         );
         let now = self.clock.now();
         let seed = self.cfg.seed ^ u64::from(rcfg.id).wrapping_mul(0x2545_f491_4f6c_dd1d);
-        self.sessions[sid as usize] = Some(SessionSlot {
-            endpoint: Endpoint::Subscriber {
-                receiver: SstpReceiver::new(rcfg, SimRng::new(seed)),
-                next_report: now + self.cfg.report_interval,
-                next_expiry: now + self.cfg.expiry_interval,
-            },
-            inbox: BoundedQueue::new(self.cfg.inbox_capacity),
-        });
-        self.supervisor.register(sid, now);
+        let endpoint = Endpoint::Subscriber {
+            receiver: SstpReceiver::new(rcfg, SimRng::new(seed)),
+            next_report: now + self.cfg.report_interval,
+            next_expiry: now + self.cfg.expiry_interval,
+        };
+        self.occupy(sid, endpoint, now);
     }
 
     /// The publisher machine of session `sid` (publish/update/withdraw).
+    /// Handing out `&mut` marks the session ready: whatever the caller
+    /// changes is picked up by the next [`Runtime::poll`], no timer
+    /// needed.
     pub fn publisher_mut(&mut self, sid: u32) -> Option<&mut SstpSender> {
-        match self.sessions.get_mut(sid as usize)? {
-            Some(SessionSlot {
-                endpoint: Endpoint::Publisher { sender, .. },
-                ..
-            }) => Some(sender),
-            _ => None,
-        }
+        let SessionSlot {
+            endpoint: Endpoint::Publisher { sender, .. },
+            ready,
+            ..
+        } = self.sessions.get_mut(sid as usize)?.as_mut()?
+        else {
+            return None;
+        };
+        mark_ready(ready, &mut self.ready, sid);
+        Some(sender)
     }
 
     /// The publisher machine of session `sid`, read-only.
@@ -477,13 +566,7 @@ impl Runtime {
 
     /// Total inbox refusals (live sessions plus crashed ones).
     pub fn backpressure_drops(&self) -> u64 {
-        self.closed_backpressure
-            + self
-                .sessions
-                .iter()
-                .flatten()
-                .map(|s| s.inbox.drops())
-                .sum::<u64>()
+        self.backpressure
     }
 
     /// The current cold-pacer rate (ops/sec) — drops below the configured
@@ -492,35 +575,51 @@ impl Runtime {
         self.cold_pacer.rate()
     }
 
-    /// One poll iteration: drain the socket into per-session inboxes,
-    /// step every session (ingest, then emit hot/cold/feedback under the
-    /// rate budgets), issue due liveness probes, and flush the outbound
-    /// queue through the global bucket. Returns the next wake-up deadline
-    /// — the caller sleeps until then or until the socket turns readable
-    /// ([`Runtime::run_for`] does exactly that).
+    /// One poll iteration, costing O(ready + due) — not O(sessions):
+    ///
+    /// 1. drain the socket into per-session inboxes, marking each session
+    ///    that received something *ready*;
+    /// 2. mark ready every session whose timer is due
+    ///    ([`DeadlineIndex::pop_due`]);
+    /// 3. step the ready sessions only (ingest, then emit hot traffic and
+    ///    feedback under the rate budgets), arming each one's next
+    ///    wake-up from what its step returned;
+    /// 4. serve publishers queued at the cold pacer, first come first
+    ///    served, while the pacer grants;
+    /// 5. issue due liveness probes and flush the outbound queue through
+    ///    the global bucket.
+    ///
+    /// Returns the next wake-up deadline — the caller sleeps until then
+    /// or until the socket turns readable ([`Runtime::run_for`] does
+    /// exactly that). An idle session is not touched between its timers:
+    /// anything that can make one runnable either marks it ready
+    /// (datagram routed, [`Runtime::publisher_mut`], install, rejoin) or
+    /// arms a deadline (timer, throttle eta, pacer grant, supervisor
+    /// probe).
     pub fn poll(&mut self) -> io::Result<SimTime> {
         let now = self.clock.now();
+        self.polls += 1;
         self.drain_socket(now)?;
-        let mut deadline = SimTime::MAX;
-        let n = self.sessions.len();
-        if n > 0 {
-            // Rotate the starting session each poll so contended pacer
-            // grants are shared fairly across sessions.
-            self.step_cursor %= n;
-            for i in 0..n {
-                let sid = (self.step_cursor + i) % n;
-                self.step_session(sid as u32, now, &mut deadline);
+        while let Some(sid) = self.timers.pop_due(now) {
+            self.timers_fired += 1;
+            if let Some(Some(slot)) = self.sessions.get_mut(sid as usize) {
+                mark_ready(&mut slot.ready, &mut self.ready, sid);
             }
-            self.step_cursor = (self.step_cursor + 1) % n;
         }
+        // Nothing marks a session ready while sessions are stepped, so
+        // the list can be lent out and its allocation kept.
+        let mut ready = std::mem::take(&mut self.ready);
+        for sid in ready.drain(..) {
+            let wake = self.step_session(sid, now);
+            self.timers.arm(sid, wake);
+        }
+        self.ready = ready;
+        let mut deadline = self.serve_cold_queue(now);
         self.issue_probes(now);
-        self.flush_outbox(now, &mut deadline)?;
+        deadline = deadline.min(self.flush_outbox(now)?);
         self.degrade_or_restore();
-        if let Some(t) = self.supervisor.next_deadline() {
-            deadline = deadline.min(t);
-        }
-        self.sync_metrics(now);
-        Ok(deadline)
+        let indexed = [self.timers.next(), self.supervisor.next_deadline()];
+        Ok(indexed.into_iter().flatten().fold(deadline, SimTime::min))
     }
 
     /// Drives the poll loop for `duration`, sleeping each iteration until
@@ -542,9 +641,8 @@ impl Runtime {
     /// Folds every pending counter delta into the registry and snapshots
     /// it at the current protocol time.
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
-        let now = self.clock.now();
-        self.sync_metrics(now);
-        self.metrics.snapshot(now)
+        self.sync_metrics();
+        self.metrics.snapshot(self.clock.now())
     }
 
     fn drain_socket(&mut self, now: SimTime) -> io::Result<()> {
@@ -575,15 +673,25 @@ impl Runtime {
                 }
             }
             // A full inbox is a counted backpressure drop, never growth.
-            let _ = slot.inbox.push(frame.pkt);
+            if slot.inbox.push(frame.pkt) {
+                mark_ready(&mut slot.ready, &mut self.ready, frame.session);
+            } else {
+                self.backpressure += 1;
+            }
         }
         Ok(())
     }
 
-    fn step_session(&mut self, sid: u32, now: SimTime, deadline: &mut SimTime) {
+    /// Steps one ready session: ingest its inbox, emit what is due.
+    /// Returns the session's next wake-up ([`SimTime::MAX`]: none — the
+    /// slot is vacant, or the session waits in the cold queue and will be
+    /// armed when served).
+    fn step_session(&mut self, sid: u32, now: SimTime) -> SimTime {
         let Some(Some(slot)) = self.sessions.get_mut(sid as usize) else {
-            return;
+            return SimTime::MAX;
         };
+        slot.ready = false;
+        self.sessions_stepped += 1;
         // Ingest everything queued for this session.
         let mut drained = 0usize;
         while let Some(pkt) = slot.inbox.pop() {
@@ -603,75 +711,49 @@ impl Runtime {
             }
         }
         // Emit due traffic.
+        let mut wake = SimTime::MAX;
         match &mut slot.endpoint {
             Endpoint::Publisher {
                 sender,
                 bucket,
                 next_summary,
                 pending,
+                awaiting_cold,
             } => {
                 // Flush a previously throttled hot packet first, then
                 // drain fresh hot traffic, all within the session bucket.
-                if let Some(pkt) = pending.take() {
-                    if bucket.try_take(now, pkt.wire_len() + FRAME_OVERHEAD) {
-                        self.outbox.push(Outbound {
-                            session: sid,
-                            class: TrafficClass::Hot,
-                            pkt,
-                        });
-                    } else {
-                        *deadline =
-                            (*deadline).min(now.saturating_add(bucket.eta(now, pkt.wire_len())));
-                        *pending = Some(pkt);
-                    }
-                }
-                while pending.is_none() {
-                    let Some(pkt) = sender.next_hot_packet() else {
-                        break;
-                    };
-                    if bucket.try_take(now, pkt.wire_len() + FRAME_OVERHEAD) {
-                        self.outbox.push(Outbound {
-                            session: sid,
-                            class: TrafficClass::Hot,
-                            pkt,
-                        });
-                    } else {
-                        self.throttled += 1;
-                        *deadline =
-                            (*deadline).min(now.saturating_add(bucket.eta(now, pkt.wire_len())));
-                        *pending = Some(pkt);
-                    }
-                }
-                // Periodic root summary, through the shared cold pacer.
-                if now >= *next_summary {
-                    if self.cold_pacer.check(now) {
-                        self.outbox.push(Outbound {
-                            session: sid,
-                            class: TrafficClass::Cold,
-                            pkt: sender.summary_packet(),
-                        });
-                        // Advance even if the push was shed: the shed IS
-                        // the degradation, and soft state refreshes later.
-                        *next_summary = now + self.cfg.summary_interval;
-                        // One cycle re-announcement rides each summary
-                        // slot, so the cold rotation advances at the
-                        // summary cadence. (Grabbing every free pacer
-                        // grant instead would let already-stepped
-                        // sessions starve later ones of summary slots.)
-                        if sender.table().live_count() > 0 && self.cold_pacer.check(now) {
-                            if let Some(pkt) = sender.next_cycle_packet() {
-                                self.outbox.push(Outbound {
-                                    session: sid,
-                                    class: TrafficClass::Cold,
-                                    pkt,
-                                });
-                            }
+                // The eta armed is for the framed cost that was refused.
+                let mut retried = pending.is_some();
+                while let Some(pkt) = pending.take().or_else(|| sender.next_hot_packet()) {
+                    match bucket.take_or_eta(now, pkt.wire_len() + FRAME_OVERHEAD) {
+                        Ok(()) => {
+                            self.outbox.push(Outbound {
+                                session: sid,
+                                class: TrafficClass::Hot,
+                                pkt,
+                            });
                         }
-                    } else {
-                        *deadline = (*deadline).min(self.cold_pacer.next_allowed());
+                        Err(eta) => {
+                            if !retried {
+                                self.throttled += 1;
+                            }
+                            wake = now.saturating_add(eta);
+                            *pending = Some(pkt);
+                            break;
+                        }
                     }
-                } else {
-                    *deadline = (*deadline).min(*next_summary);
+                    retried = false;
+                }
+                // The periodic root summary goes through the shared cold
+                // pacer: once due, join its queue and wait to be served
+                // (which is also what arms the next summary).
+                if now < *next_summary {
+                    wake = wake.min(*next_summary);
+                } else if !*awaiting_cold {
+                    *awaiting_cold = true;
+                    self.cold_queue.push_back(sid);
+                    self.cold_queue_high_water =
+                        self.cold_queue_high_water.max(self.cold_queue.len());
                 }
             }
             Endpoint::Subscriber {
@@ -698,12 +780,68 @@ impl Runtime {
                     receiver.expire(now);
                     *next_expiry = now + self.cfg.expiry_interval;
                 }
-                *deadline = (*deadline).min(*next_report).min(*next_expiry);
+                wake = (*next_report).min(*next_expiry);
                 if let Some(t) = receiver.next_feedback_at() {
-                    *deadline = (*deadline).min(t);
+                    wake = wake.min(t);
                 }
             }
         }
+        wake
+    }
+
+    /// Serves the publishers queued at the cold pacer from the front,
+    /// while the pacer grants: each gets its root summary out and its
+    /// next one scheduled. Returns when to come back for the rest
+    /// ([`SimTime::MAX`] once the queue is empty): not one gap later but
+    /// when the pacer will have banked enough grants for the backlog (two
+    /// per session, at most a burst), so a thousand publishers due
+    /// together are not a thousand wake-ups.
+    fn serve_cold_queue(&mut self, now: SimTime) -> SimTime {
+        while let Some(&sid) = self.cold_queue.front() {
+            if !self.cold_pacer.check(now) {
+                let backlog = self.cold_queue.len() as u64;
+                return self
+                    .cold_pacer
+                    .allowed_at((2 * backlog).min(VarRateLimit::BURST_OPS));
+            }
+            self.cold_queue.pop_front();
+            let Some(Some(SessionSlot {
+                endpoint:
+                    Endpoint::Publisher {
+                        sender,
+                        next_summary,
+                        awaiting_cold,
+                        ..
+                    },
+                ..
+            })) = self.sessions.get_mut(sid as usize)
+            else {
+                unreachable!("crash removes a session from the cold queue");
+            };
+            *awaiting_cold = false;
+            self.outbox.push(Outbound {
+                session: sid,
+                class: TrafficClass::Cold,
+                pkt: sender.summary_packet(),
+            });
+            // Advance even if the push was shed: the shed IS the
+            // degradation, and soft state refreshes later.
+            *next_summary = now + self.cfg.summary_interval;
+            self.timers.arm(sid, *next_summary);
+            // One cycle re-announcement rides each summary slot, so the
+            // cold rotation advances at the summary cadence and no
+            // session takes more than its two grants per turn.
+            if sender.table().live_count() > 0 && self.cold_pacer.check(now) {
+                if let Some(pkt) = sender.next_cycle_packet() {
+                    self.outbox.push(Outbound {
+                        session: sid,
+                        class: TrafficClass::Cold,
+                        pkt,
+                    });
+                }
+            }
+        }
+        SimTime::MAX
     }
 
     /// Turns due supervisor probes into packets: a publisher probes with
@@ -727,19 +865,19 @@ impl Runtime {
         }
     }
 
-    fn flush_outbox(&mut self, now: SimTime, deadline: &mut SimTime) -> io::Result<()> {
+    /// Sends queued packets while the global bucket allows. Returns when
+    /// the head of what is left will fit ([`SimTime::MAX`]: all sent).
+    fn flush_outbox(&mut self, now: SimTime) -> io::Result<SimTime> {
         while let Some(head) = self.outbox.peek() {
             let cost = head.pkt.wire_len() + FRAME_OVERHEAD;
-            if self.global_bucket.try_take(now, cost) {
-                let out = self.outbox.pop().expect("peeked entry vanished");
-                self.mux.send(out.session, &out.pkt)?;
-            } else {
+            if let Err(eta) = self.global_bucket.take_or_eta(now, cost) {
                 self.throttled += 1;
-                *deadline = (*deadline).min(now.saturating_add(self.global_bucket.eta(now, cost)));
-                break;
+                return Ok(now.saturating_add(eta));
             }
+            let out = self.outbox.pop().expect("peeked entry vanished");
+            self.mux.send(out.session, &out.pkt)?;
         }
-        Ok(())
+        Ok(SimTime::MAX)
     }
 
     /// The announce-degradation policy: a cold shed since the last poll
@@ -750,29 +888,35 @@ impl Runtime {
     /// degradation from the chaos PR.
     fn degrade_or_restore(&mut self) {
         let shed_now = self.outbox.stats().shed_cold;
-        if shed_now > self.synced.shed_cold {
+        if shed_now > self.last_shed_cold {
             self.cold_pacer.set_rate(self.cold_pacer.rate() / 2);
         } else if !self.outbox.pressured() && self.cold_pacer.rate() < self.base_cold_rate {
             self.cold_pacer
                 .set_rate((self.cold_pacer.rate().saturating_mul(2)).min(self.base_cold_rate));
         }
+        self.last_shed_cold = shed_now;
     }
 
     /// Folds counter deltas from every component into the registry.
     /// Counters are registered once in `bind`; this keeps the registry
     /// monotone without threading metric ids through the components.
-    fn sync_metrics(&mut self, now: SimTime) {
+    /// Every source is a running total, so this is O(1) and only
+    /// [`Runtime::metrics_snapshot`] needs to run it.
+    fn sync_metrics(&mut self) {
         let m = self.mux.stats();
         let shed = self.outbox.stats();
         let sup = self.supervisor.stats();
-        let bp = self.backpressure_drops();
         let fd = self
             .faults
             .as_ref()
             .map(|f| f.data_drops() + f.feedback_drops())
             .unwrap_or(0);
         let adds: [(CounterId, u64, &mut u64); 9] = [
-            (self.ids.backpressure, bp, &mut self.synced.backpressure),
+            (
+                self.ids.backpressure,
+                self.backpressure,
+                &mut self.synced.backpressure,
+            ),
             (
                 self.ids.shed_cold,
                 shed.shed_cold,
@@ -794,17 +938,23 @@ impl Runtime {
             self.metrics.add(id, total.saturating_sub(*last));
             *last = total;
         }
-        // Absolute counters with no external total: set once per call.
-        let inj = self.injected_drops;
-        let unk = self.unknown_session;
-        let thr = self.throttled;
-        self.injected_drops = 0;
-        self.unknown_session = 0;
-        self.throttled = 0;
-        self.metrics.add(self.ids.injected_drops, inj);
-        self.metrics.add(self.ids.unknown_session, unk);
-        self.metrics.add(self.ids.throttled, thr);
-        self.metrics
-            .set_gauge(self.ids.active, self.supervisor.active(now) as f64);
+        // Counts kept since the previous fold, with no external total.
+        for (id, since) in [
+            (self.ids.injected_drops, &mut self.injected_drops),
+            (self.ids.unknown_session, &mut self.unknown_session),
+            (self.ids.throttled, &mut self.throttled),
+            (self.ids.polls, &mut self.polls),
+            (self.ids.sessions_stepped, &mut self.sessions_stepped),
+            (self.ids.timers_fired, &mut self.timers_fired),
+        ] {
+            self.metrics.add(id, std::mem::take(since));
+        }
+        for (id, value) in [
+            (self.ids.active, self.supervisor.active()),
+            (self.ids.cold_queue_high_water, self.cold_queue_high_water),
+            (self.ids.timers_high_water, self.timers.high_water()),
+        ] {
+            self.metrics.set_gauge(id, value as f64);
+        }
     }
 }

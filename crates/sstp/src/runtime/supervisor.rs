@@ -15,7 +15,17 @@
 //! a quarter of that gap — identical in shape to the receiver's
 //! re-request backoff in [`crate::receiver`], so one analysis covers
 //! both.
+//!
+//! Nothing here is O(sessions) per call. Probe deadlines live in a
+//! [`DeadlineIndex`] whose entries are lower bounds: traffic pushes a
+//! healthy session's deadline *later*, so [`Supervisor::heard`] — which
+//! runs per datagram batch — leaves the index alone, and
+//! [`Supervisor::due_probes`] re-checks each entry that surfaces against
+//! the session's real `next_probe`, re-arming the ones that were only
+//! early. The active-session count is kept at the transitions that change
+//! it (register, crash, death, heal) instead of being recounted.
 
+use super::pacing::DeadlineIndex;
 use ss_netsim::{SimDuration, SimRng, SimTime};
 
 /// The capped exponential backoff schedule shared by re-probes and the
@@ -112,6 +122,13 @@ struct Entry {
     crashed: bool,
 }
 
+impl Entry {
+    /// Whether the entry counts toward [`Supervisor::active`].
+    fn is_active(&self, cfg: &SupervisorConfig) -> bool {
+        !self.crashed && self.probes < cfg.dead_after_probes
+    }
+}
+
 /// Counters the runtime folds into the metrics registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
@@ -123,12 +140,16 @@ pub struct SupervisorStats {
     pub deaths: u64,
 }
 
-/// The supervisor proper: one [`Entry`] per registered session, indexed
+/// The supervisor proper: one `Entry` per registered session, indexed
 /// by session id.
 #[derive(Debug)]
 pub struct Supervisor {
     cfg: SupervisorConfig,
     entries: Vec<Option<Entry>>,
+    /// Lower bounds on every supervised session's `next_probe`.
+    probe_index: DeadlineIndex,
+    /// Entries for which [`Entry::is_active`] holds.
+    active: usize,
     rng: SimRng,
     stats: SupervisorStats,
 }
@@ -139,6 +160,8 @@ impl Supervisor {
         Supervisor {
             cfg,
             entries: Vec::new(),
+            probe_index: DeadlineIndex::new(),
+            active: 0,
             rng,
             stats: SupervisorStats::default(),
         }
@@ -151,23 +174,30 @@ impl Supervisor {
 
     /// Registers session `sid` as healthy as of `now`.
     pub fn register(&mut self, sid: u32, now: SimTime) {
+        self.deregister(sid);
         let idx = sid as usize;
         if self.entries.len() <= idx {
             self.entries.resize(idx + 1, None);
         }
-        self.entries[idx] = Some(Entry {
+        let e = Entry {
             last_heard: now,
             probes: 0,
             next_probe: now + self.cfg.suspect_after,
             suspect_since: now,
             crashed: false,
-        });
+        };
+        self.active += usize::from(e.is_active(&self.cfg));
+        self.probe_index.arm(sid, e.next_probe);
+        self.entries[idx] = Some(e);
     }
 
     /// Removes session `sid` from supervision.
     pub fn deregister(&mut self, sid: u32) {
-        if let Some(e) = self.entries.get_mut(sid as usize) {
-            *e = None;
+        if let Some(slot) = self.entries.get_mut(sid as usize) {
+            if let Some(e) = slot.take() {
+                self.active -= usize::from(e.is_active(&self.cfg));
+                self.probe_index.vacate(sid);
+            }
         }
     }
 
@@ -175,42 +205,70 @@ impl Supervisor {
     /// [`Supervisor::register`] is called again on rejoin.
     pub fn crash(&mut self, sid: u32) {
         if let Some(Some(e)) = self.entries.get_mut(sid as usize) {
+            self.active -= usize::from(e.is_active(&self.cfg));
             e.crashed = true;
+            self.probe_index.vacate(sid);
         }
     }
 
     /// Records traffic from `sid`'s peer at `now`. Returns the outage
     /// length when this heals a suspect/dead session (the runtime feeds
     /// it to the MTTR sketch), `None` when the session was healthy.
+    ///
+    /// A healthy session's probe deadline only moves later here, so the
+    /// index is not touched. A heal restarts the silence threshold, which
+    /// can land before the backed-off probe that was armed; only then is
+    /// an (earlier) entry pushed — at most one per outage.
     pub fn heard(&mut self, sid: u32, now: SimTime) -> Option<SimDuration> {
         let e = match self.entries.get_mut(sid as usize) {
             Some(Some(e)) if !e.crashed => e,
             _ => return None,
         };
         let outage = (e.probes > 0).then(|| now.saturating_since(e.suspect_since));
-        if outage.is_some() {
-            self.stats.heals += 1;
-        }
+        let was_active = e.is_active(&self.cfg);
         e.last_heard = now.max(e.last_heard);
         e.probes = 0;
         e.next_probe = e.last_heard + self.cfg.suspect_after;
+        if outage.is_some() {
+            self.stats.heals += 1;
+            // Only a dead session had left the count.
+            self.active += usize::from(!was_active && e.is_active(&self.cfg));
+            self.probe_index.arm(sid, e.next_probe);
+        }
         outage
     }
 
-    /// The sessions whose probe deadline has arrived at `now`, advancing
-    /// each one's schedule: probe `n` re-arms the deadline to
-    /// `now + gap(n) + jitter` where `jitter <= gap(n)/4`. The invariant
-    /// the proptest pins: for a fixed session, consecutive returns are
-    /// never closer together than the gap its attempt count demanded —
-    /// a healed-then-silent-again session restarts from the base gap,
-    /// never from mid-schedule.
+    /// The sessions whose probe deadline has arrived at `now`, in
+    /// ascending id order, advancing each one's schedule: probe `n`
+    /// re-arms the deadline to `now + gap(n) + jitter` where
+    /// `jitter <= gap(n)/4`. The invariant the proptest pins: for a fixed
+    /// session, consecutive returns are never closer together than the
+    /// gap its attempt count demanded — a healed-then-silent-again
+    /// session restarts from the base gap, never from mid-schedule.
+    ///
+    /// Costs O(entries surfacing), not O(sessions): an entry that
+    /// surfaces before the session's real deadline (traffic moved it
+    /// later) is re-armed without a probe.
     pub fn due_probes(&mut self, now: SimTime) -> Vec<u32> {
         let mut due = Vec::new();
-        for (sid, slot) in self.entries.iter_mut().enumerate() {
-            let Some(e) = slot else { continue };
-            if e.crashed || now < e.next_probe {
-                continue;
+        while let Some(sid) = self.probe_index.pop_due(now) {
+            let next_probe = self.entries[sid as usize]
+                .as_ref()
+                .expect("armed entries are registered")
+                .next_probe;
+            if now < next_probe {
+                self.probe_index.arm(sid, next_probe);
+            } else {
+                due.push(sid);
             }
+        }
+        // Jitter is drawn in id order, whatever order deadlines surfaced
+        // in, so a seed fixes the schedule.
+        due.sort_unstable();
+        for &sid in &due {
+            let e = self.entries[sid as usize]
+                .as_mut()
+                .expect("armed entries are registered");
             if e.probes == 0 {
                 // First missed deadline: the outage clock starts at the
                 // silence threshold, not at this (possibly late) poll.
@@ -228,9 +286,10 @@ impl Supervisor {
             e.probes += 1;
             if e.probes == self.cfg.dead_after_probes {
                 self.stats.deaths += 1;
+                self.active -= 1;
             }
             self.stats.probes += 1;
-            due.push(sid as u32);
+            self.probe_index.arm(sid, e.next_probe);
         }
         due
     }
@@ -257,27 +316,17 @@ impl Supervisor {
 
     /// Number of registered sessions currently healthy or suspect (the
     /// `runtime.sessions.active` gauge: dead and crashed sessions are
-    /// out).
-    pub fn active(&self, now: SimTime) -> usize {
-        (0..self.entries.len() as u32)
-            .filter(|&sid| {
-                matches!(
-                    self.liveness(sid, now),
-                    Liveness::Healthy | Liveness::Suspect
-                )
-            })
-            .count()
+    /// out). A running count, kept at the transitions.
+    pub fn active(&self) -> usize {
+        self.active
     }
 
-    /// The earliest probe deadline over all live sessions — the
-    /// supervisor's contribution to the runtime's wake-up time.
+    /// A lower bound on the earliest probe deadline over all live
+    /// sessions — the supervisor's contribution to the runtime's wake-up
+    /// time. Waking at it and calling [`Supervisor::due_probes`] is always
+    /// safe: an entry that was only early is re-armed there.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| !e.crashed)
-            .map(|e| e.next_probe)
-            .min()
+        self.probe_index.next()
     }
 
     /// Lifetime counters.
@@ -289,6 +338,25 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The full scan the deadline index replaced, kept as the oracle: the
+    /// sessions a call to `due_probes(now)` must return.
+    fn scan_due(s: &Supervisor, now: SimTime) -> Vec<u32> {
+        s.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.is_some_and(|e| !e.crashed && now >= e.next_probe))
+            .map(|(sid, _)| sid as u32)
+            .collect()
+    }
+
+    /// `active()` recounted from each session's liveness.
+    fn scan_active(s: &Supervisor, now: SimTime) -> usize {
+        (0..s.entries.len() as u32)
+            .filter(|&sid| matches!(s.liveness(sid, now), Liveness::Healthy | Liveness::Suspect))
+            .count()
+    }
 
     fn sup(base_ms: u64, suspect_ms: u64) -> Supervisor {
         Supervisor::new(
@@ -360,7 +428,7 @@ mod tests {
             t += SimDuration::from_secs(1);
         }
         assert_eq!(s.liveness(0, t), Liveness::Dead);
-        assert_eq!(s.active(t), 0);
+        assert_eq!(s.active(), 0);
         assert_eq!(s.stats().deaths, 1);
         // Dead sessions keep being probed (soft state: they may return).
         assert_eq!(s.due_probes(t), vec![0]);
@@ -369,6 +437,28 @@ mod tests {
         assert_eq!(
             s.liveness(0, t + SimDuration::from_millis(1)),
             Liveness::Healthy
+        );
+    }
+
+    #[test]
+    fn heal_from_a_long_backoff_rearms_at_the_silence_threshold() {
+        // gap(4) = 1600 ms outlasts the 200 ms threshold a heal restarts.
+        let mut s = sup(100, 200);
+        s.register(0, SimTime::ZERO);
+        let mut t = SimTime::from_millis(200);
+        for _ in 0..5 {
+            assert_eq!(s.due_probes(t), vec![0]);
+            t = s.next_deadline().unwrap();
+        }
+        let healed = t - SimDuration::from_millis(1500);
+        assert!(s.heard(0, healed).is_some());
+        assert_eq!(
+            s.next_deadline(),
+            Some(healed + SimDuration::from_millis(200))
+        );
+        assert_eq!(
+            s.due_probes(healed + SimDuration::from_millis(200)),
+            vec![0]
         );
     }
 
@@ -382,5 +472,52 @@ mod tests {
         assert_eq!(s.liveness(0, SimTime::from_secs(10)), Liveness::Crashed);
         s.register(0, SimTime::from_secs(20));
         assert_eq!(s.liveness(0, SimTime::from_secs(20)), Liveness::Healthy);
+    }
+
+    proptest! {
+        /// The indexed supervisor against the full scans it replaced,
+        /// over any interleaving of register / heard / due_probes / crash
+        /// on a few sessions: `due_probes` returns exactly what the scan
+        /// finds, `active` is the recount, and the per-datagram path
+        /// (`heard` on a healthy session) never touches the index.
+        #[test]
+        fn index_agrees_with_the_full_scan(
+            ops in prop::collection::vec((0u8..8, 0u32..6, 1u64..300), 1..300),
+            seed in any::<u64>(),
+        ) {
+            let cfg = SupervisorConfig {
+                suspect_after: SimDuration::from_millis(200),
+                backoff: BackoffSchedule::new(SimDuration::from_millis(50)),
+                dead_after_probes: 3,
+            };
+            let mut s = Supervisor::new(cfg, SimRng::new(seed));
+            let mut now = SimTime::ZERO;
+            for (op, sid, dt_ms) in ops {
+                match op {
+                    0 => s.register(sid, now),
+                    1 => s.crash(sid),
+                    2 | 3 => {
+                        let before = s.probe_index.len();
+                        let healed = s.heard(sid, now).is_some();
+                        let grown = s.probe_index.len().saturating_sub(before);
+                        prop_assert!(grown <= usize::from(healed), "heard grew the index");
+                    }
+                    _ => {
+                        now += SimDuration::from_millis(dt_ms);
+                        let want = scan_due(&s, now);
+                        prop_assert_eq!(s.due_probes(now), want);
+                        prop_assert!(scan_due(&s, now).is_empty());
+                    }
+                }
+                prop_assert_eq!(s.active(), scan_active(&s, now));
+                let supervised = s.entries.iter().flatten().filter(|e| !e.crashed).count();
+                prop_assert_eq!(s.probe_index.armed(), supervised);
+                prop_assert!(s.probe_index.len() <= 2 * supervised + DeadlineIndex::SLACK);
+                let first = s.entries.iter().flatten().filter(|e| !e.crashed).map(|e| e.next_probe).min();
+                if let Some(first) = first {
+                    prop_assert!(s.next_deadline().is_some_and(|t| t <= first));
+                }
+            }
+        }
     }
 }

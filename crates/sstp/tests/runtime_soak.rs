@@ -24,6 +24,7 @@ use ss_netsim::{FaultSpec, LossSpec, RealPathFaults, SimDuration, SimRng, SimTim
 use sstp::digest::HashAlgorithm;
 use sstp::namespace::MetaTag;
 use sstp::receiver::ReceiverConfig;
+use sstp::runtime::pacing::DeadlineIndex;
 use sstp::runtime::{Runtime, RuntimeConfig};
 use sstp::session::ReconvergenceReport;
 use std::net::SocketAddr;
@@ -228,10 +229,26 @@ fn soak(n: usize, seed: u64) {
         report.fault_drops
     );
 
-    // Every inter-task queue stayed bounded, with refusals counted.
-    for rt in [&pub_rt, &sub_rt] {
+    // Every inter-task queue stayed bounded, with refusals counted —
+    // and so did the poll loop's own bookkeeping, churn included: the
+    // deadline index holds a bounded number of stale entries per
+    // session, the cold pacer's waiting line at most every publisher.
+    for rt in [&mut pub_rt, &mut sub_rt] {
         assert!(rt.inbox_high_water() <= 64, "inbox exceeded its bound");
         assert!(rt.outbox_high_water() <= 4096, "outbox exceeded its bound");
+        let snap = rt.metrics_snapshot();
+        let timers = snap.gauge("runtime.timers.high_water") as usize;
+        assert!(
+            (1..=2 * n + DeadlineIndex::SLACK).contains(&timers),
+            "deadline index held {timers} entries for {n} sessions"
+        );
+        let waiting = snap.gauge("runtime.cold.queue_high_water") as usize;
+        assert!(waiting <= n, "cold queue held {waiting} of {n} sessions");
+        assert!(snap.counter("runtime.poll.count") > 0);
+        assert!(
+            snap.counter("runtime.poll.sessions_stepped")
+                >= snap.counter("runtime.poll.timers_fired")
+        );
     }
 
     // The health metrics flow through the shared registry under their
