@@ -151,13 +151,18 @@ impl PublisherTable {
 }
 
 /// One entry in a subscriber's replica.
+///
+/// The entry's soft-state deadline is not a public field: the stored
+/// instant can lag the table-wide floor that
+/// [`SubscriberTable::refresh_all`] raises, so the deadline is read
+/// through [`SubscriberTable::deadline_of`], which folds the floor in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplicaEntry {
     /// The value most recently received for this key.
     pub value: Value,
-    /// The soft-state deadline: the entry is deleted if no refresh arrives
-    /// before this instant.
-    pub expires_at: SimTime,
+    /// The deadline armed by the last per-key refresh. The effective
+    /// deadline is `max(expires_at, table floor)`.
+    expires_at: SimTime,
     /// When this key was first successfully received (receive latency).
     pub first_received: SimTime,
 }
@@ -167,10 +172,20 @@ pub struct ReplicaEntry {
 /// Callers drive expiry explicitly via [`SubscriberTable::expire_until`]
 /// (typically from a periodic sweep event or before reads), keeping the
 /// table independent of any particular event loop.
+///
+/// A whole-replica refresh ([`SubscriberTable::refresh_all`]) is O(1): it
+/// raises one table-wide deadline *floor* instead of rewriting every
+/// entry, and an entry's effective deadline is the later of its own
+/// stored deadline and the floor — exactly the instant the eager rewrite
+/// would have stored, since time is monotone and a per-key refresh
+/// always arms at or past the floor.
 #[derive(Clone, Debug)]
 pub struct SubscriberTable {
     entries: BTreeMap<Key, ReplicaEntry>,
     ttl: SimDuration,
+    /// No entry expires before this instant (`ZERO` until the first
+    /// `refresh_all`).
+    floor: SimTime,
     expirations: u64,
     refreshes: u64,
 }
@@ -182,6 +197,7 @@ impl SubscriberTable {
         SubscriberTable {
             entries: BTreeMap::new(),
             ttl,
+            floor: SimTime::ZERO,
             expirations: 0,
             refreshes: 0,
         }
@@ -226,20 +242,29 @@ impl SubscriberTable {
         self.entries.remove(&key)
     }
 
-    /// Re-arms every entry's expiration timer from `now`. Used when a
-    /// summary announcement confirms the publisher is alive and a repair
-    /// channel exists to reconcile any divergence: the summary then acts
-    /// as the soft-state refresh for the whole replica.
+    /// Re-arms every entry's expiration timer from `now`, in O(1): raises
+    /// the table-wide deadline floor to `now + ttl`. Used when a summary
+    /// announcement confirms the publisher is alive and a repair channel
+    /// exists to reconcile any divergence: the summary then acts as the
+    /// soft-state refresh for the whole replica.
     pub fn refresh_all(&mut self, now: SimTime) {
-        let deadline = now + self.ttl;
-        for e in self.entries.values_mut() {
-            e.expires_at = deadline;
-        }
+        self.floor = self.floor.max(now + self.ttl);
+    }
+
+    /// The instant `entry` (one of this table's) expires without a
+    /// further refresh: its own deadline or the table floor, whichever
+    /// is later.
+    pub fn deadline_of(&self, entry: &ReplicaEntry) -> SimTime {
+        entry.expires_at.max(self.floor)
     }
 
     /// Deletes every entry whose deadline is at or before `now`; returns
     /// the expired keys in ascending order (the map iterates sorted).
     pub fn expire_until(&mut self, now: SimTime) -> Vec<Key> {
+        if self.floor > now {
+            return Vec::new();
+        }
+        // floor <= now, so max(e, floor) <= now exactly when e <= now.
         let dead: Vec<Key> = self
             .entries
             .iter()
@@ -282,6 +307,114 @@ impl SubscriberTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The eager table the deadline floor replaced, kept as the oracle:
+    /// `refresh_all` rewrites every entry's deadline and `expire_until`
+    /// always scans.
+    struct EagerTable {
+        entries: BTreeMap<Key, (Value, SimTime)>,
+        ttl: SimDuration,
+        refreshes: u64,
+        expirations: u64,
+    }
+
+    impl EagerTable {
+        fn apply(&mut self, now: SimTime, key: Key, value: Value) -> bool {
+            self.refreshes += 1;
+            let deadline = now + self.ttl;
+            match self.entries.entry(key) {
+                Entry::Occupied(mut o) => {
+                    let e = o.get_mut();
+                    e.1 = deadline;
+                    let newer = value.version > e.0.version;
+                    if newer {
+                        e.0 = value;
+                    }
+                    newer
+                }
+                Entry::Vacant(v) => {
+                    v.insert((value, deadline));
+                    true
+                }
+            }
+        }
+
+        fn refresh_all(&mut self, now: SimTime) {
+            let deadline = now + self.ttl;
+            for e in self.entries.values_mut() {
+                e.1 = deadline;
+            }
+        }
+
+        fn expire_until(&mut self, now: SimTime) -> Vec<Key> {
+            let dead: Vec<Key> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.1 <= now)
+                .map(|(&k, _)| k)
+                .collect();
+            for k in &dead {
+                self.entries.remove(k);
+                self.expirations += 1;
+            }
+            dead
+        }
+    }
+
+    proptest! {
+        /// The lazy floor is exactly the eager rewrite: over any
+        /// interleaving of apply / refresh_all / remove / expire_until on
+        /// a monotone clock (sweeps also at the `expire_early` horizon,
+        /// half a TTL ahead), both tables expire the same keys in the
+        /// same order, every entry has the same value and effective
+        /// deadline, and the lifetime counters match.
+        #[test]
+        fn lazy_floor_matches_eager_rewrite(
+            ops in prop::collection::vec((0u8..8, 0u64..6, 0u64..4, 0u64..9_000), 1..200),
+            ttl_ms in 1u64..10_000,
+        ) {
+            let ttl = SimDuration::from_millis(ttl_ms);
+            let mut lazy = SubscriberTable::new(ttl);
+            let mut eager = EagerTable {
+                entries: BTreeMap::new(),
+                ttl,
+                refreshes: 0,
+                expirations: 0,
+            };
+            let mut now = SimTime::ZERO;
+            for (op, key, version, dt_ms) in ops {
+                let key = Key(key);
+                match op {
+                    0..=2 => {
+                        let value = Value { version, payload_len: 10 };
+                        prop_assert_eq!(lazy.apply(now, key, value), eager.apply(now, key, value));
+                    }
+                    3 => {
+                        lazy.refresh_all(now);
+                        eager.refresh_all(now);
+                    }
+                    4 => {
+                        let gone = lazy.remove(key).map(|e| e.value);
+                        prop_assert_eq!(gone, eager.entries.remove(&key).map(|e| e.0));
+                    }
+                    5 => prop_assert_eq!(lazy.expire_until(now), eager.expire_until(now)),
+                    6 => {
+                        let horizon = now + SimDuration::from_micros(ttl.as_micros() / 2);
+                        prop_assert_eq!(lazy.expire_until(horizon), eager.expire_until(horizon));
+                    }
+                    _ => now += SimDuration::from_millis(dt_ms),
+                }
+                let got: Vec<_> = lazy
+                    .entries()
+                    .map(|(&k, e)| (k, e.value, lazy.deadline_of(e)))
+                    .collect();
+                let want: Vec<_> = eager.entries.iter().map(|(&k, &(v, d))| (k, v, d)).collect();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(lazy.counters(), (eager.refreshes, eager.expirations));
+            }
+        }
+    }
 
     #[test]
     fn publisher_lifecycle() {

@@ -67,12 +67,19 @@ pub enum HashAlgorithm {
 }
 
 impl HashAlgorithm {
+    /// A fresh streaming hasher for this algorithm.
+    pub fn hasher(&self) -> Hasher {
+        Hasher(match self {
+            HashAlgorithm::Md5 => HashState::Md5(Md5State::new()),
+            HashAlgorithm::Fnv64 => HashState::Fnv64(FNV_OFFSET),
+        })
+    }
+
     /// Hashes `data` with this algorithm.
     pub fn digest(&self, data: &[u8]) -> Digest {
-        match self {
-            HashAlgorithm::Md5 => Digest::from_md5(md5(data)),
-            HashAlgorithm::Fnv64 => Digest::from_u64(fnv1a64(data)),
-        }
+        let mut h = self.hasher();
+        h.write(data);
+        h.finish()
     }
 
     /// Digest size in bytes — used in wire-format size accounting.
@@ -84,14 +91,53 @@ impl HashAlgorithm {
     }
 }
 
-/// 64-bit FNV-1a.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// Streaming state of a summary hash: feed it the input in any number of
+/// pieces and the digest equals the one-shot hash of their concatenation.
+/// Holds no heap memory, so the namespace hashes a node's child slots
+/// straight into it without building a buffer.
+#[derive(Clone, Debug)]
+pub struct Hasher(HashState);
+
+#[derive(Clone, Debug)]
+enum HashState {
+    Md5(Md5State),
+    /// The running 64-bit FNV-1a hash.
+    Fnv64(u64),
+}
+
+impl Hasher {
+    /// Absorbs `data`.
+    #[inline]
+    pub fn write(&mut self, data: &[u8]) {
+        match &mut self.0 {
+            HashState::Md5(s) => s.write(data),
+            HashState::Fnv64(h) => *h = fnv1a64_fold(*h, data),
+        }
+    }
+
+    /// The digest of everything written.
+    pub fn finish(self) -> Digest {
+        match self.0 {
+            HashState::Md5(s) => Digest::from_md5(s.finish()),
+            HashState::Fnv64(h) => Digest::from_u64(h),
+        }
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[inline]
+fn fnv1a64_fold(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// 64-bit FNV-1a.
+pub fn fnv1a64(data: &[u8]) -> u64 {
+    fnv1a64_fold(FNV_OFFSET, data)
 }
 
 // --- MD5 (RFC 1321) -----------------------------------------------------
@@ -114,14 +160,115 @@ const MD5_K: [u32; 64] = [
     0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
 ];
 
+const MD5_INIT: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+
+/// Streaming MD5: the four chaining words, the partial block not yet
+/// compressed, and the message length so far.
+#[derive(Clone, Debug)]
+struct Md5State {
+    words: [u32; 4],
+    block: [u8; 64],
+    /// Bytes of `block` in use (always < 64 between calls).
+    filled: usize,
+    /// Total bytes written.
+    len: u64,
+}
+
+impl Md5State {
+    fn new() -> Self {
+        Md5State {
+            words: MD5_INIT,
+            block: [0; 64],
+            filled: 0,
+            len: 0,
+        }
+    }
+
+    fn write(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.filled > 0 {
+            let take = data.len().min(64 - self.filled);
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < 64 {
+                return;
+            }
+            md5_compress(&mut self.words, &self.block);
+            self.filled = 0;
+        }
+        // Whole blocks compress straight from the input.
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            md5_compress(&mut self.words, block.try_into().expect("64-byte chunk"));
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    fn finish(mut self) -> [u8; 16] {
+        // Padding: 0x80, zeros, then the 64-bit little-endian bit length.
+        let bit_len = self.len.wrapping_mul(8);
+        self.block[self.filled] = 0x80;
+        self.block[self.filled + 1..].fill(0);
+        if self.filled + 1 > 56 {
+            md5_compress(&mut self.words, &self.block);
+            self.block.fill(0);
+        }
+        self.block[56..].copy_from_slice(&bit_len.to_le_bytes());
+        md5_compress(&mut self.words, &self.block);
+        md5_output(self.words)
+    }
+}
+
+/// The digest bytes of the final chaining words (little-endian).
+fn md5_output(words: [u32; 4]) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    for (o, w) in out.chunks_exact_mut(4).zip(words) {
+        o.copy_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
+/// One MD5 compression: folds a 64-byte block into the chaining words.
+fn md5_compress(words: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (w, b) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+    }
+    let [mut a, mut b, mut c, mut d] = *words;
+    for i in 0..64 {
+        let (f, g) = match i / 16 {
+            0 => ((b & c) | (!b & d), i),
+            1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+            2 => (b ^ c ^ d, (3 * i + 5) % 16),
+            _ => (c ^ (b | !d), (7 * i) % 16),
+        };
+        let tmp = d;
+        d = c;
+        c = b;
+        let sum = a.wrapping_add(f).wrapping_add(MD5_K[i]).wrapping_add(m[g]);
+        b = b.wrapping_add(sum.rotate_left(MD5_S[i]));
+        a = tmp;
+    }
+    words[0] = words[0].wrapping_add(a);
+    words[1] = words[1].wrapping_add(b);
+    words[2] = words[2].wrapping_add(c);
+    words[3] = words[3].wrapping_add(d);
+}
+
 /// RFC 1321 MD5 of `data`.
 pub fn md5(data: &[u8]) -> [u8; 16] {
-    let mut a0: u32 = 0x67452301;
-    let mut b0: u32 = 0xefcdab89;
-    let mut c0: u32 = 0x98badcfe;
-    let mut d0: u32 = 0x10325476;
+    let mut s = Md5State::new();
+    s.write(data);
+    s.finish()
+}
 
-    // Padding: 0x80, zeros, then the 64-bit little-endian bit length.
+/// The buffer-building one-shot MD5 the streaming state replaced, kept
+/// as the oracle for the streaming tests here and in `namespace`.
+#[cfg(test)]
+pub(crate) fn md5_padded_copy(data: &[u8]) -> [u8; 16] {
     let bit_len = (data.len() as u64).wrapping_mul(8);
     let mut msg = data.to_vec();
     msg.push(0x80);
@@ -129,39 +276,11 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
         msg.push(0);
     }
     msg.extend_from_slice(&bit_len.to_le_bytes());
-
+    let mut words = MD5_INIT;
     for chunk in msg.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(chunk[i * 4..i * 4 + 4].try_into().unwrap());
-        }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            let sum = a.wrapping_add(f).wrapping_add(MD5_K[i]).wrapping_add(m[g]);
-            b = b.wrapping_add(sum.rotate_left(MD5_S[i]));
-            a = tmp;
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
+        md5_compress(&mut words, chunk.try_into().unwrap());
     }
-
-    let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&a0.to_le_bytes());
-    out[4..8].copy_from_slice(&b0.to_le_bytes());
-    out[8..12].copy_from_slice(&c0.to_le_bytes());
-    out[12..16].copy_from_slice(&d0.to_le_bytes());
-    out
+    md5_output(words)
 }
 
 #[cfg(test)]
@@ -199,6 +318,53 @@ mod tests {
             ),
             "57edf4a22be3c955ac49da2e2107b67a"
         );
+    }
+
+    /// Streaming in pieces of any size equals the one-shot hash, which
+    /// equals the padded-copy implementation it replaced — on the RFC
+    /// vectors and around every padding boundary (55/56 fit or spill the
+    /// length field, 63/64/65 and 119/120 the same one block later).
+    #[test]
+    fn streaming_md5_matches_one_shot() {
+        let rfc: [&[u8]; 7] = [
+            b"",
+            b"a",
+            b"abc",
+            b"message digest",
+            b"abcdefghijklmnopqrstuvwxyz",
+            b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+            b"12345678901234567890123456789012345678901234567890123456789012345678901234567890",
+        ];
+        let sized: Vec<Vec<u8>> = [55usize, 56, 63, 64, 65, 119, 120]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect())
+            .collect();
+        for data in rfc.into_iter().chain(sized.iter().map(Vec::as_slice)) {
+            let want = md5_padded_copy(data);
+            assert_eq!(md5(data), want, "one-shot, {} bytes", data.len());
+            for piece in [1usize, 3, 64] {
+                let mut h = HashAlgorithm::Md5.hasher();
+                for chunk in data.chunks(piece) {
+                    h.write(chunk);
+                }
+                assert_eq!(
+                    h.finish(),
+                    Digest::from_md5(want),
+                    "{} bytes in {piece}-byte pieces",
+                    data.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_fnv_matches_one_shot() {
+        let data: Vec<u8> = (0..200u8).collect();
+        let mut h = HashAlgorithm::Fnv64.hasher();
+        for chunk in data.chunks(3) {
+            h.write(chunk);
+        }
+        assert_eq!(h.finish(), Digest::from_u64(fnv1a64(&data)));
     }
 
     #[test]

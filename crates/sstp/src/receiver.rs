@@ -468,10 +468,15 @@ impl SstpReceiver {
         entries: &[crate::wire::WireChildEntry],
     ) {
         use crate::wire::WireChildEntry as E;
+        // The summarized node in our mirror, resolved once per summary:
+        // looked up for the digest comparisons, created only when a
+        // tombstone needs somewhere to land.
+        let mut parent = self.mirror.node_at(path);
         for entry in entries {
             match entry {
                 E::Dead { slot } => {
-                    if let Some(key) = self.mirror.mirror_tombstone(path, *slot) {
+                    let p = *parent.get_or_insert_with(|| self.mirror.ensure_interior_at(path));
+                    if let Some(key) = self.mirror.mirror_tombstone(p, *slot) {
                         self.replica.remove(key);
                     }
                 }
@@ -480,15 +485,15 @@ impl SstpReceiver {
                         self.stats.uninterested_skips += 1;
                         continue;
                     }
-                    let mut child_path = path.clone();
-                    child_path.push(*slot);
-                    let mismatch = match self.mirror.node_at(&child_path) {
+                    let mismatch = match parent.and_then(|p| self.mirror.child_at(p, *slot)) {
                         None => true,
                         Some(node) => {
                             self.mirror.is_leaf(node) || self.mirror.digest(node) != *digest
                         }
                     };
                     if mismatch {
+                        let mut child_path = path.clone();
+                        child_path.push(*slot);
                         self.schedule(now, FbKind::Query(child_path));
                     }
                 }
@@ -638,7 +643,7 @@ impl SstpReceiver {
         for (key, e) in self.replica.entries() {
             h.write_u64(key.0);
             h.write_u64(e.value.version);
-            h.write_u64(e.expires_at.as_micros());
+            h.write_u64(self.replica.deadline_of(e).as_micros());
         }
         let root = self.mirror.root_digest();
         h.write_bytes(root.as_bytes());

@@ -35,6 +35,8 @@ use ss_netsim::{
     LossModel, MetricsRegistry, MetricsSnapshot, QueueClass, SimDuration, SimRng, SimTime,
     SketchId, TracedWorld, World,
 };
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// The application workload driving a session.
 #[derive(Clone, Debug)]
@@ -265,10 +267,12 @@ enum Ev {
     ColdFree,
     FbFree(usize),
     /// Receiver `i` hears a data packet; the [`TraceId`] names the wire
-    /// span that carried it (NONE when tracing is off).
-    DataArrive(usize, Packet, TraceId),
-    FbArriveSender(Packet, TraceId),
-    FbOverheard(usize, Packet, TraceId),
+    /// span that carried it (NONE when tracing is off). One transmission
+    /// is one allocation shared by every hearer (`Rc`: the queue and its
+    /// events never leave the thread that runs the session).
+    DataArrive(usize, Rc<Packet>, TraceId),
+    FbArriveSender(Rc<Packet>, TraceId),
+    FbOverheard(usize, Rc<Packet>, TraceId),
     FeedbackDue(usize),
     ReportTick(usize),
     AdaptTick,
@@ -293,19 +297,16 @@ struct RxChan {
 struct KeySeen(Vec<u64>);
 
 impl KeySeen {
-    fn contains(&self, k: &Key) -> bool {
-        match self.0.get((k.0 >> 6) as usize) {
-            Some(w) => w & (1 << (k.0 & 63)) != 0,
-            None => false,
-        }
-    }
-
-    fn insert(&mut self, k: Key) {
+    /// Adds `k`; true when it was not in the set before.
+    fn insert(&mut self, k: Key) -> bool {
         let word = (k.0 >> 6) as usize;
         if word >= self.0.len() {
             self.0.resize(word + 1, 0);
         }
-        self.0[word] |= 1 << (k.0 & 63);
+        let bit = 1 << (k.0 & 63);
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
     }
 }
 
@@ -357,7 +358,7 @@ struct Sim {
     fb_busy: Vec<bool>,
     /// Per-receiver feedback send queues (packets waiting for the fb
     /// server).
-    fb_queue: Vec<Vec<Packet>>,
+    fb_queue: Vec<VecDeque<Packet>>,
     /// Earliest scheduled FeedbackDue per receiver (dedup).
     fb_due_at: Vec<Option<SimTime>>,
     /// Ground-truth instrumentation.
@@ -540,7 +541,7 @@ impl Sim {
             cold_busy: false,
             cold_flip: false,
             fb_busy: vec![false; cfg.n_receivers],
-            fb_queue: vec![Vec::new(); cfg.n_receivers],
+            fb_queue: vec![VecDeque::new(); cfg.n_receivers],
             fb_due_at: vec![None; cfg.n_receivers],
             meters: (0..cfg.n_receivers)
                 .map(|_| ConsistencyMeter::new(SimTime::ZERO))
@@ -695,6 +696,7 @@ impl Sim {
         } else {
             self.tracer.span(q.now(), depart, tx_actor, tkind, key)
         };
+        let pkt = Rc::new(pkt);
         for i in 0..self.receivers.len() {
             // The baseline channel draw always happens first so that an
             // empty fault spec leaves the random streams untouched.
@@ -744,9 +746,9 @@ impl Sim {
                 continue;
             }
             let arrive = depart + self.cfg.prop_delay + p.extra_delay;
-            q.schedule(arrive, Ev::DataArrive(i, pkt.clone(), tx_id));
+            q.schedule(arrive, Ev::DataArrive(i, Rc::clone(&pkt), tx_id));
             if p.duplicate {
-                q.schedule(arrive, Ev::DataArrive(i, pkt.clone(), tx_id));
+                q.schedule(arrive, Ev::DataArrive(i, Rc::clone(&pkt), tx_id));
             }
         }
         q.schedule(depart, free);
@@ -823,20 +825,20 @@ impl Sim {
             return;
         }
         self.fb_busy[i] = true;
-        let pkt = self.fb_queue[i].remove(0);
+        let pkt = Rc::new(self.fb_queue[i].pop_front().expect("checked non-empty"));
         let bytes = pkt.wire_len();
         let c_tx = self.c_fb_tx;
         self.registry.inc(c_tx);
         let c_bytes = self.c_fb_bytes;
         self.registry.add(c_bytes, bytes as u64);
-        let kind = match &pkt {
+        let kind = match &*pkt {
             Packet::Nack(_) => EventKind::Nack,
             Packet::RepairQuery(_) => EventKind::Query,
             _ => EventKind::Report,
         };
         self.events.log(q.now(), kind, i as u64);
         let depart = q.now() + self.fb_rate().transmit_time(bytes);
-        let tkind = match &pkt {
+        let tkind = match &*pkt {
             Packet::Nack(_) => TraceKind::Nack,
             Packet::RepairQuery(_) => TraceKind::Query,
             _ => TraceKind::Report,
@@ -875,7 +877,7 @@ impl Sim {
         } else {
             q.schedule(
                 depart + self.cfg.prop_delay,
-                Ev::FbArriveSender(pkt.clone(), fb_id),
+                Ev::FbArriveSender(Rc::clone(&pkt), fb_id),
             );
         }
         // Overheard by peers (multicast feedback), when there are any.
@@ -891,7 +893,7 @@ impl Sim {
                 if !lost {
                     q.schedule(
                         depart + self.cfg.prop_delay,
-                        Ev::FbOverheard(j, pkt.clone(), fb_id),
+                        Ev::FbOverheard(j, Rc::clone(&pkt), fb_id),
                     );
                 }
             }
@@ -912,15 +914,70 @@ impl Sim {
         }
     }
 
+    /// Receiver `i` hears `pkt` — on the data channel, or a peer's
+    /// feedback overheard (multicast damping). The profile scope is named
+    /// by what arrived.
+    fn hear(&mut self, q: &mut EventQueue<Ev>, i: usize, pkt: &Packet, cause: TraceId) {
+        // A packet in flight toward a receiver that has since crashed
+        // arrives at a dead host.
+        if self.faults.receiver_down(q.now(), i as u32) {
+            return;
+        }
+        let before = self.receivers[i].stats().data_applied;
+        {
+            let _prof = profile::scope(match pkt {
+                Packet::Data(_) => "rx.data",
+                Packet::RootSummary(_) => "rx.root_summary",
+                Packet::NodeSummary(_) => "rx.node_summary",
+                _ => "rx.overheard_fb",
+            });
+            self.receivers[i].on_packet(q.now(), pkt);
+        }
+        if self.receivers[i].stats().data_applied > before {
+            if let Packet::Data(d) = pkt {
+                self.tracer.instant_under(
+                    q.now(),
+                    Actor::Replica(i as u32),
+                    TraceKind::Deliver,
+                    d.key.0,
+                    cause,
+                );
+            }
+        }
+        self.arm_feedback(q, i);
+    }
+
     fn measure(&mut self, q: &mut EventQueue<Ev>) {
         let _prof = profile::scope("probe.measure");
         let now = q.now();
         let total = self.sender.table().live_count();
         let mut disagree = 0u64;
         for i in 0..self.receivers.len() {
+            // One lockstep pass over the sender table and the replica
+            // (both iterate in ascending key order) counts agreement,
+            // samples staleness, and collects first receipts.
             let mut agree = 0usize;
+            let mut held = self.receivers[i].replica().entries().peekable();
+            let mut first_receipt = |k: Key, first: SimTime, registry: &mut MetricsRegistry| {
+                if !self.latency_seen[i].insert(k) {
+                    return;
+                }
+                if let Some(&born) = self.born_at.get(k.0 as usize) {
+                    registry.observe(self.h_latency[i], first.saturating_since(born));
+                    registry.observe_sketch(self.sk_trec, first.saturating_since(born));
+                }
+            };
             for r in self.sender.table().live() {
-                if self.receivers[i].replica().get(r.key).map(|e| e.value) == Some(r.value) {
+                // Entries the sender no longer has still had a first
+                // receipt.
+                while let Some((&k, e)) = held.next_if(|(&k, _)| k < r.key) {
+                    first_receipt(k, e.first_received, &mut self.registry);
+                }
+                let mine = held.next_if(|(&k, _)| k == r.key);
+                if let Some((&k, e)) = mine {
+                    first_receipt(k, e.first_received, &mut self.registry);
+                }
+                if mine.map(|(_, e)| e.value) == Some(r.value) {
                     agree += 1;
                 } else if let Some(&upd) = self.updated_at.get(r.key.0 as usize) {
                     // Probe-sampled staleness: how old the newest sender
@@ -928,6 +985,9 @@ impl Sim {
                     self.registry
                         .observe_sketch(self.sk_staleness, now.saturating_since(upd));
                 }
+            }
+            for (&k, e) in held {
+                first_receipt(k, e.first_received, &mut self.registry);
             }
             disagree += (total - agree) as u64;
             self.meters[i].observe(now, agree, total);
@@ -938,22 +998,6 @@ impl Sim {
             };
             let a = self.a_consistency[i];
             self.registry.record_sample(a, now, ratio);
-            // Latency collection: first receipt of each key.
-            let mut newly = Vec::new();
-            for (k, e) in self.receivers[i].replica().entries() {
-                if !self.latency_seen[i].contains(k) {
-                    newly.push((*k, e.first_received));
-                }
-            }
-            for (k, first) in newly {
-                self.latency_seen[i].insert(k);
-                if let Some(&born) = self.born_at.get(k.0 as usize) {
-                    let h = self.h_latency[i];
-                    self.registry.observe(h, first.saturating_since(born));
-                    self.registry
-                        .observe_sketch(self.sk_trec, first.saturating_since(born));
-                }
-            }
         }
         // Reconvergence accounting, only when a fault schedule exists.
         // Every probe between the first fault edge and reconvergence
@@ -1028,30 +1072,7 @@ impl World for Sim {
                 self.fb_busy[i] = false;
                 self.kick_fb(q, i);
             }
-            Ev::DataArrive(i, pkt, cause) => {
-                // A packet in flight toward a receiver that has since
-                // crashed arrives at a dead host.
-                if self.faults.receiver_down(q.now(), i as u32) {
-                    return;
-                }
-                let before = self.receivers[i].stats().data_applied;
-                {
-                    let _prof = profile::scope("digest.rx_apply");
-                    self.receivers[i].on_packet(q.now(), &pkt);
-                }
-                if self.receivers[i].stats().data_applied > before {
-                    if let Packet::Data(d) = &pkt {
-                        self.tracer.instant_under(
-                            q.now(),
-                            Actor::Replica(i as u32),
-                            TraceKind::Deliver,
-                            d.key.0,
-                            cause,
-                        );
-                    }
-                }
-                self.arm_feedback(q, i);
-            }
+            Ev::DataArrive(i, pkt, cause) => self.hear(q, i, &pkt, cause),
             Ev::FbArriveSender(pkt, cause) => {
                 let promoted = {
                     let _prof = profile::scope("feedback.sender");
@@ -1073,28 +1094,7 @@ impl World for Sim {
                 }
                 self.kick_hot(q);
             }
-            Ev::FbOverheard(i, pkt, cause) => {
-                if self.faults.receiver_down(q.now(), i as u32) {
-                    return;
-                }
-                let before = self.receivers[i].stats().data_applied;
-                {
-                    let _prof = profile::scope("digest.rx_apply");
-                    self.receivers[i].on_packet(q.now(), &pkt);
-                }
-                if self.receivers[i].stats().data_applied > before {
-                    if let Packet::Data(d) = &pkt {
-                        self.tracer.instant_under(
-                            q.now(),
-                            Actor::Replica(i as u32),
-                            TraceKind::Deliver,
-                            d.key.0,
-                            cause,
-                        );
-                    }
-                }
-                self.arm_feedback(q, i);
-            }
+            Ev::FbOverheard(i, pkt, cause) => self.hear(q, i, &pkt, cause),
             Ev::FeedbackDue(i) => {
                 self.fb_due_at[i] = None;
                 let _prof = profile::scope("feedback.poll");
@@ -1107,7 +1107,7 @@ impl World for Sim {
                 if !self.faults.receiver_down(q.now(), i as u32) {
                     let report = self.receivers[i].make_report();
                     // lint: allow(D010, bounded send queue; kick_fb drains it at the fb service rate)
-                    self.fb_queue[i].push(report);
+                    self.fb_queue[i].push_back(report);
                     self.kick_fb(q, i);
                 }
                 q.schedule_in(self.cfg.report_interval, Ev::ReportTick(i));
@@ -1808,5 +1808,73 @@ mod tests {
             "announce rate must be degraded during the outage, factor {g}"
         );
         assert!(report.recovery.unwrap().fault_drops > 0);
+    }
+
+    /// The three `sim_session` benchmark shapes (copied from
+    /// `benchmark/src/sim.rs`, not imported), short enough for a debug
+    /// run: 16-receiver multicast, unicast churn with lifetimes, and a
+    /// partition + crash-rejoin schedule over in-place updates.
+    fn pinned_shapes() -> [(&'static str, SessionConfig); 3] {
+        let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+
+        let mut mcast = SessionConfig::unicast_default(0x5eed_0001);
+        mcast.n_receivers = 16;
+        mcast.slot_window = Some(SimDuration::from_secs(2));
+        mcast.data_loss = LossSpec::Bernoulli(0.2);
+        mcast.fb_loss = LossSpec::Bernoulli(0.05);
+        mcast.workload = SessionWorkload {
+            arrivals: ArrivalProcess::Poisson { rate: 0.5 },
+            mean_lifetime_secs: None,
+            branches: 4,
+            class_weights: None,
+        };
+        mcast.ttl = SimDuration::from_secs(120);
+        mcast.duration = SimDuration::from_secs(250);
+
+        let mut churn = SessionConfig::unicast_default(0x5eed_0002);
+        churn.data_loss = LossSpec::Bernoulli(0.15);
+        churn.fb_loss = LossSpec::Bernoulli(0.15);
+        churn.duration = SimDuration::from_secs(1_000);
+
+        let mut rejoin = SessionConfig::unicast_default(0x5eed_0003);
+        rejoin.n_receivers = 2;
+        rejoin.workload = SessionWorkload {
+            arrivals: ArrivalProcess::PoissonUpdates {
+                rate: 1.0,
+                keys: 40,
+            },
+            mean_lifetime_secs: None,
+            branches: 4,
+            class_weights: None,
+        };
+        rejoin.ttl = SimDuration::from_secs(90);
+        rejoin.duration = SimDuration::from_secs(1_500);
+        rejoin.faults = FaultSpec::none()
+            .partition(at(100), at(145))
+            .receiver_crash(at(300), at(320), 0)
+            .partition(at(500), at(520))
+            .receiver_crash(at(600), at(610), 1)
+            .partition(at(900), at(1_000))
+            .receiver_crash(at(1_200), at(1_230), 0);
+
+        [("mcast", mcast), ("churn", churn), ("rejoin", rejoin)]
+    }
+
+    /// Byte identity across the hot-path rewrite (lazy replica floor,
+    /// streaming digests, shared packets, single-pass probe): the full
+    /// metrics snapshot of each benchmark shape hashes to the value the
+    /// commit before that rewrite produced.
+    #[test]
+    fn hot_path_rewrite_keeps_metrics_byte_identical() {
+        let got = pinned_shapes().map(|(name, cfg)| {
+            let jsonl = run(&cfg).metrics.to_jsonl();
+            (name, crate::digest::fnv1a64(jsonl.as_bytes()))
+        });
+        let want = [
+            ("mcast", 0xf9ea_e3dd_c25e_e8a6_u64),
+            ("churn", 0x0b44_f38e_19c6_13d9),
+            ("rejoin", 0xb3f3_2329_43b5_38e5),
+        ];
+        assert_eq!(got, want, "got {got:#018x?}");
     }
 }

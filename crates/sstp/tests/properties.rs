@@ -1,6 +1,14 @@
 //! Property-based tests of the SSTP building blocks: wire-codec
 //! round-trips for arbitrary packets, namespace digest coherence under
 //! random operation sequences, and sender/receiver mirror equivalence.
+//!
+//! This test binary (and no library crate) installs a counting global
+//! allocator, so the namespace properties can also assert that a digest
+//! refresh touches no heap.
+
+// The workspace denies `unsafe_code`; a `GlobalAlloc` impl cannot be
+// written without it, and it is confined to this test binary.
+#![allow(unsafe_code)]
 
 use bytes::BytesMut;
 use proptest::prelude::*;
@@ -11,6 +19,63 @@ use sstp::wire::{
     DataPacket, NackPacket, NodeSummaryPacket, Packet, ReceiverReportPacket, RepairQueryPacket,
     RootSummaryPacket, WireChildEntry,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+std::thread_local! {
+    /// Heap allocations made by this thread (tests run on parallel
+    /// threads, so a process-wide count would see the neighbours').
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Forwards to the system allocator and counts each allocation against
+/// the calling thread.
+struct CountingAlloc;
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down, when the counter is gone and nobody reads it.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a bump
+// of a const-initialized, destructor-free thread-local `Cell`, which
+// neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations this thread makes while running `f`.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
 
 fn arb_digest() -> impl Strategy<Value = Digest> {
     prop_oneof![
@@ -220,6 +285,8 @@ proptest! {
 
     /// Digest reads never mutate observable state: two consecutive reads
     /// agree, and interleaving reads with mutations equals batching them.
+    /// And a refresh is heap-free: `update_adu` → `root_digest` allocates
+    /// nothing, under either hash, however the tree is shaped.
     #[test]
     fn namespace_lazy_refresh_transparent(ops in arb_ops()) {
         let mut eager = Namespace::new(HashAlgorithm::Fnv64);
@@ -272,6 +339,19 @@ proptest! {
             let _ = eager.root_digest(); // interleaved read
         }
         prop_assert_eq!(eager.root_digest(), lazy.root_digest());
+
+        let mut md5 = Namespace::new(HashAlgorithm::Md5);
+        apply_ops(&mut md5, &ops);
+        let _ = md5.root_digest();
+        for ns in [&mut lazy, &mut md5] {
+            for (round, &key) in live.iter().enumerate() {
+                let allocs = allocations_during(|| {
+                    ns.update_adu(key, 1_000 + round as u64, 7);
+                    std::hint::black_box(ns.root_digest());
+                });
+                prop_assert_eq!(allocs, 0, "update_adu -> root_digest of {:?} allocated", key);
+            }
+        }
     }
 
     /// MD5 and FNV namespaces agree on *structure*: equal ops give equal

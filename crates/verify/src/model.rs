@@ -692,10 +692,10 @@ impl Model {
     /// Runs receiver `rx`'s expiry sweep, checking that nothing whose
     /// deadline is still in the future dies.
     pub(crate) fn expire(&mut self, rx: usize) -> Result<(), Violation> {
-        let safe: Vec<Key> = self.receivers[rx]
-            .replica()
+        let replica = self.receivers[rx].replica();
+        let safe: Vec<Key> = replica
             .entries()
-            .filter(|(_, e)| e.expires_at > self.now)
+            .filter(|(_, e)| replica.deadline_of(e) > self.now)
             .map(|(k, _)| *k)
             .collect();
         let _ = self.receivers[rx].step(ReceiverEvent::Expire { now: self.now });
