@@ -11,7 +11,13 @@
 //!   metric-visible drop (`runtime.backpressure.drops`) — never an
 //!   unbounded buffer, never a panic. The soft-state model is what makes
 //!   this safe: every dropped message is an idempotent refresh that a
-//!   later cycle re-sends.
+//!   later cycle re-sends. The socket is one more bounded channel: what
+//!   it will not take is a counted `runtime.egress.drops`, and the poll
+//!   goes on.
+//! * **Coalesced datagrams** ([`mux`]): all sessions share one peer, so
+//!   the frames one poll emits travel together in MTU-sized datagrams —
+//!   a system call per dozen announcements, not per announcement — and
+//!   the last, partial datagram leaves before the poll returns.
 //! * **Rate control** ([`pacing`]): a per-session token bucket bounds
 //!   each session's hot traffic; a global bucket bounds the socket; a
 //!   [`pacing::VarRateLimit`] paces cold announce batches and is the
@@ -221,6 +227,10 @@ struct Ids {
     injected_drops: CounterId,
     ingress: CounterId,
     egress: CounterId,
+    ingress_frames: CounterId,
+    egress_frames: CounterId,
+    routed: CounterId,
+    egress_drops: CounterId,
     decode_errors: CounterId,
     unknown_session: CounterId,
     throttled: CounterId,
@@ -244,6 +254,9 @@ struct Synced {
     fault_drops: u64,
     ingress: u64,
     egress: u64,
+    ingress_frames: u64,
+    egress_frames: u64,
+    egress_drops: u64,
     decode_errors: u64,
     probes: u64,
     heals: u64,
@@ -280,6 +293,8 @@ pub struct Runtime {
     drop_rng: SimRng,
     injected_drops: u64,
     unknown_session: u64,
+    /// Frames that reached an inbox.
+    routed: u64,
     throttled: u64,
     /// Inbox refusals, all sessions ever installed.
     backpressure: u64,
@@ -304,6 +319,10 @@ impl Runtime {
         let injected_drops = metrics.counter("runtime.loss.injected");
         let ingress = metrics.counter("runtime.ingress.datagrams");
         let egress = metrics.counter("runtime.egress.datagrams");
+        let ingress_frames = metrics.counter("runtime.ingress.frames");
+        let egress_frames = metrics.counter("runtime.egress.frames");
+        let routed = metrics.counter("runtime.ingress.routed");
+        let egress_drops = metrics.counter("runtime.egress.drops");
         let decode_errors = metrics.counter("runtime.decode.errors");
         let unknown_session = metrics.counter("runtime.route.unknown");
         let throttled = metrics.counter("runtime.throttled");
@@ -324,6 +343,10 @@ impl Runtime {
             injected_drops,
             ingress,
             egress,
+            ingress_frames,
+            egress_frames,
+            routed,
+            egress_drops,
             decode_errors,
             unknown_session,
             throttled,
@@ -362,6 +385,7 @@ impl Runtime {
             drop_rng: SimRng::new(cfg.seed ^ 0x9e37_79b9),
             injected_drops: 0,
             unknown_session: 0,
+            routed: 0,
             throttled: 0,
             backpressure: 0,
             polls: 0,
@@ -587,7 +611,8 @@ impl Runtime {
     /// 4. serve publishers queued at the cold pacer, first come first
     ///    served, while the pacer grants;
     /// 5. issue due liveness probes and flush the outbound queue through
-    ///    the global bucket.
+    ///    the global bucket, its frames coalesced into MTU-sized
+    ///    datagrams and the last one sent however full it is.
     ///
     /// Returns the next wake-up deadline — the caller sleeps until then
     /// or until the socket turns readable ([`Runtime::run_for`] does
@@ -674,6 +699,7 @@ impl Runtime {
             }
             // A full inbox is a counted backpressure drop, never growth.
             if slot.inbox.push(frame.pkt) {
+                self.routed += 1;
                 mark_ready(&mut slot.ready, &mut self.ready, frame.session);
             } else {
                 self.backpressure += 1;
@@ -865,19 +891,31 @@ impl Runtime {
         }
     }
 
-    /// Sends queued packets while the global bucket allows. Returns when
-    /// the head of what is left will fit ([`SimTime::MAX`]: all sent).
+    /// Sends queued packets while the global bucket allows, coalesced
+    /// into datagrams of up to [`mux::DATAGRAM_BUDGET`]. Returns when the
+    /// head of what is left will fit ([`SimTime::MAX`]: all sent).
+    ///
+    /// Every frame popped here is on the wire (or a counted
+    /// `runtime.egress.drops`) when this returns — the last, partial
+    /// datagram is sent rather than held for the next poll to fill, so
+    /// coalescing adds no latency and needs no timer. The buckets charge
+    /// each frame a datagram's full `HEADER_OVERHEAD` although a batch
+    /// pays it once: conservative, and pacing behaves as it did with one
+    /// frame per datagram.
     fn flush_outbox(&mut self, now: SimTime) -> io::Result<SimTime> {
+        let mut wake = SimTime::MAX;
         while let Some(head) = self.outbox.peek() {
             let cost = head.pkt.wire_len() + FRAME_OVERHEAD;
             if let Err(eta) = self.global_bucket.take_or_eta(now, cost) {
                 self.throttled += 1;
-                return Ok(now.saturating_add(eta));
+                wake = now.saturating_add(eta);
+                break;
             }
             let out = self.outbox.pop().expect("peeked entry vanished");
-            self.mux.send(out.session, &out.pkt)?;
+            self.mux.append(out.session, &out.pkt)?;
         }
-        Ok(SimTime::MAX)
+        self.mux.flush()?;
+        Ok(wake)
     }
 
     /// The announce-degradation policy: a cold shed since the last poll
@@ -911,7 +949,7 @@ impl Runtime {
             .as_ref()
             .map(|f| f.data_drops() + f.feedback_drops())
             .unwrap_or(0);
-        let adds: [(CounterId, u64, &mut u64); 9] = [
+        let adds: [(CounterId, u64, &mut u64); 12] = [
             (
                 self.ids.backpressure,
                 self.backpressure,
@@ -926,6 +964,21 @@ impl Runtime {
             (self.ids.fault_drops, fd, &mut self.synced.fault_drops),
             (self.ids.ingress, m.datagrams_rx, &mut self.synced.ingress),
             (self.ids.egress, m.datagrams_tx, &mut self.synced.egress),
+            (
+                self.ids.ingress_frames,
+                m.frames_rx,
+                &mut self.synced.ingress_frames,
+            ),
+            (
+                self.ids.egress_frames,
+                m.frames_tx,
+                &mut self.synced.egress_frames,
+            ),
+            (
+                self.ids.egress_drops,
+                m.egress_drops,
+                &mut self.synced.egress_drops,
+            ),
             (
                 self.ids.decode_errors,
                 m.decode_errors,
@@ -942,6 +995,7 @@ impl Runtime {
         for (id, since) in [
             (self.ids.injected_drops, &mut self.injected_drops),
             (self.ids.unknown_session, &mut self.unknown_session),
+            (self.ids.routed, &mut self.routed),
             (self.ids.throttled, &mut self.throttled),
             (self.ids.polls, &mut self.polls),
             (self.ids.sessions_stepped, &mut self.sessions_stepped),

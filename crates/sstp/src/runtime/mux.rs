@@ -1,20 +1,50 @@
 //! Session multiplexing over a single nonblocking UDP socket.
 //!
-//! Many SSTP sessions share one socket; each datagram carries a 4-byte
-//! big-endian session id followed by one wire [`Packet`]. The mux owns
-//! the socket and the frame codec; the runtime owns routing (frame →
-//! per-session bounded inbox) and all drop accounting, so every datagram
-//! either reaches a state machine or increments a counter — never an
-//! unbounded queue, never a panic.
+//! Many SSTP sessions share one socket and one peer, so a datagram
+//! carries a *run* of frames, each
+//!
+//! ```text
+//! session u32 ‖ len u16 ‖ packet (len bytes: one encoded wire Packet)
+//! ```
+//!
+//! big-endian, back to back, nothing between or after them. The sender
+//! fills a datagram until the next frame would pass [`DATAGRAM_BUDGET`]
+//! and sends whatever it has when its caller says the batch is over
+//! ([`SocketMux::flush`]) — the runtime says so at the end of every poll,
+//! so no frame waits for company. The receiver walks the frames of one
+//! datagram before it reads the next: a frame whose packet does not
+//! decode costs itself only (its `len` says where the next one starts),
+//! a header that runs past the datagram's end discards the rest.
+//!
+//! The mux owns the socket and the frame codec; the runtime owns routing
+//! (frame → per-session bounded inbox) and all ingress drop accounting,
+//! so every frame either reaches a state machine or increments a counter
+//! — never an unbounded queue, never a panic.
 
-use crate::wire::{Packet, WireError};
-use bytes::{BufMut, BytesMut};
+use crate::wire::{Packet, WireError, HEADER_OVERHEAD};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 
-/// Bytes the session-id frame header adds to each wire packet.
-pub const FRAME_OVERHEAD: usize = 4;
+/// Bytes the frame header (session id, packet length) adds to each wire
+/// packet.
+pub const FRAME_OVERHEAD: usize = 6;
+
+/// What one datagram may carry, in **wire-model** bytes
+/// ([`frame_wire_len`] summed over its frames): a 1500-byte MTU less the
+/// [`HEADER_OVERHEAD`] every datagram is charged once. The model counts
+/// a data packet's *simulated* payload, so a batch is what a deployment
+/// that carried the payloads would fit under the MTU, not what fits
+/// because they are left out. A single frame larger than this travels
+/// alone.
+pub const DATAGRAM_BUDGET: usize = 1500 - HEADER_OVERHEAD;
+
+/// The wire-model bytes `pkt` takes as one frame of a datagram: frame
+/// header, encoding and simulated payload.
+pub fn frame_wire_len(pkt: &Packet) -> usize {
+    FRAME_OVERHEAD + pkt.wire_len() - HEADER_OVERHEAD
+}
 
 /// One decoded inbound frame: which session, which packet.
 #[derive(Clone, Debug)]
@@ -25,31 +55,69 @@ pub struct Frame {
     pub pkt: Packet,
 }
 
-/// Why an inbound datagram failed to decode.
+/// Why an inbound frame failed to decode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameError {
-    /// Shorter than the 4-byte session-id header.
+    /// The datagram ended inside the 6-byte frame header, or before the
+    /// `len` bytes the header promised. Whatever followed is lost with it.
     Truncated,
-    /// The payload failed wire decoding.
+    /// The frame was whole but its packet failed wire decoding.
     Wire(WireError),
 }
 
-/// Encodes `pkt` for `session` into `out` (cleared first).
-pub fn encode_frame(session: u32, pkt: &Packet, out: &mut BytesMut) {
-    out.clear();
+/// Appends one frame for `session` to `out`. Returns `false`, leaving
+/// `out` as it was, when the packet's encoding is longer than the `u16`
+/// length prefix can say.
+pub fn append_frame(session: u32, pkt: &Packet, out: &mut BytesMut) -> bool {
+    let Ok(len) = u16::try_from(pkt.encoded_len()) else {
+        return false;
+    };
+    let start = out.len();
     out.put_u32(session);
+    out.put_u16(len);
     pkt.encode(out);
+    debug_assert_eq!(out.len() - start, FRAME_OVERHEAD + usize::from(len));
+    true
 }
 
-/// Decodes one datagram into a [`Frame`].
-pub fn decode_frame(datagram: &[u8]) -> Result<Frame, FrameError> {
-    if datagram.len() < FRAME_OVERHEAD {
+/// Encodes `pkt` for `session` into `out` (cleared first) as a whole
+/// single-frame datagram. `false`: see [`append_frame`].
+pub fn encode_frame(session: u32, pkt: &Packet, out: &mut BytesMut) -> bool {
+    out.clear();
+    append_frame(session, pkt, out)
+}
+
+/// Decodes the frame at `datagram[*pos..]` and moves `*pos` past it: to
+/// the next frame when this one's header was sound (whether or not its
+/// packet decoded), to the end of the datagram when it was not.
+fn decode_frame_at(datagram: &[u8], pos: &mut usize) -> Result<Frame, FrameError> {
+    let framed = datagram[*pos..]
+        .split_first_chunk::<FRAME_OVERHEAD>()
+        .and_then(|(&[s0, s1, s2, s3, l0, l1], body)| {
+            let packet = body.get(..usize::from(u16::from_be_bytes([l0, l1])))?;
+            Some((u32::from_be_bytes([s0, s1, s2, s3]), packet))
+        });
+    let Some((session, packet)) = framed else {
+        *pos = datagram.len();
         return Err(FrameError::Truncated);
-    }
-    let session = u32::from_be_bytes([datagram[0], datagram[1], datagram[2], datagram[3]]);
-    let pkt = Packet::decode(bytes::Bytes::copy_from_slice(&datagram[FRAME_OVERHEAD..]))
-        .map_err(FrameError::Wire)?;
+    };
+    *pos += FRAME_OVERHEAD + packet.len();
+    let pkt = Packet::decode(Bytes::copy_from_slice(packet)).map_err(FrameError::Wire)?;
     Ok(Frame { session, pkt })
+}
+
+/// Decodes the first frame of `datagram` (all of a single-frame one).
+pub fn decode_frame(datagram: &[u8]) -> Result<Frame, FrameError> {
+    decode_frame_at(datagram, &mut 0)
+}
+
+/// The frames of one datagram in order, decoded or not: what
+/// [`SocketMux::recv`] hands out between two socket reads, each `Err`
+/// one counted decode error. (An empty datagram yields nothing here;
+/// `recv` counts it as one truncated frame.)
+pub fn decode_frames(datagram: &[u8]) -> impl Iterator<Item = Result<Frame, FrameError>> + '_ {
+    let mut pos = 0;
+    std::iter::from_fn(move || (pos < datagram.len()).then(|| decode_frame_at(datagram, &mut pos)))
 }
 
 /// A bounded FIFO between the socket reader and a session state machine.
@@ -132,16 +200,40 @@ pub struct MuxStats {
     pub datagrams_tx: u64,
     /// Datagrams received (before any ingress filtering).
     pub datagrams_rx: u64,
-    /// Datagrams that failed frame or wire decoding.
+    /// Frames sent inside those datagrams.
+    pub frames_tx: u64,
+    /// Frames [`SocketMux::recv`] handed out, decoded or not.
+    pub frames_rx: u64,
+    /// Received frames that failed frame or wire decoding.
     pub decode_errors: u64,
+    /// Frames that never left: too long for the length prefix, or in a
+    /// datagram the socket refused.
+    pub egress_drops: u64,
 }
+
+/// `EMSGSIZE` — the socket cannot send a datagram this large — for which
+/// std has no stable `io::ErrorKind`.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const EMSGSIZE: i32 = 90;
+#[cfg(all(unix, not(any(target_os = "linux", target_os = "android"))))]
+const EMSGSIZE: i32 = 40;
+#[cfg(windows)]
+const EMSGSIZE: i32 = 10_040;
 
 /// The shared nonblocking socket plus the frame codec state.
 pub struct SocketMux {
     socket: UdpSocket,
     peer: SocketAddr,
     rx_buf: Vec<u8>,
+    /// The datagram being walked is `rx_buf[..rx_len]`; the frames before
+    /// `rx_pos` have been handed out.
+    rx_len: usize,
+    rx_pos: usize,
+    /// The datagram under construction: `tx_frames` frames, `tx_wire`
+    /// wire-model bytes.
     tx_buf: BytesMut,
+    tx_frames: u64,
+    tx_wire: usize,
     stats: MuxStats,
 }
 
@@ -154,7 +246,11 @@ impl SocketMux {
             socket,
             peer,
             rx_buf: vec![0u8; 65_536],
+            rx_len: 0,
+            rx_pos: 0,
             tx_buf: BytesMut::with_capacity(2048),
+            tx_frames: 0,
+            tx_wire: 0,
             stats: MuxStats::default(),
         })
     }
@@ -175,34 +271,92 @@ impl SocketMux {
         &self.socket
     }
 
-    /// Receives and decodes one waiting datagram. `Ok(None)` when the
-    /// socket has nothing; decode failures are counted and surfaced as
-    /// `Ok(Some(Err(..)))` so the caller keeps draining.
+    /// Decodes the next waiting frame: the next of the datagram last
+    /// read, or the first of a new one. `Ok(None)` when the socket has
+    /// nothing; decode failures are counted and surfaced as
+    /// `Ok(Some(Err(..)))` so the caller keeps draining. (An empty
+    /// datagram counts as one truncated frame.)
     pub fn recv(&mut self) -> io::Result<Option<Result<Frame, FrameError>>> {
-        match self.socket.recv_from(&mut self.rx_buf) {
-            Ok((n, _from)) => {
-                self.stats.datagrams_rx += 1;
-                let decoded = decode_frame(&self.rx_buf[..n]);
-                if decoded.is_err() {
-                    self.stats.decode_errors += 1;
+        if self.rx_pos == self.rx_len {
+            match self.socket.recv_from(&mut self.rx_buf) {
+                Ok((n, _from)) => {
+                    self.stats.datagrams_rx += 1;
+                    (self.rx_len, self.rx_pos) = (n, 0);
                 }
-                Ok(Some(decoded))
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None);
+                }
+                Err(e) => return Err(e),
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
+        }
+        let decoded = decode_frame_at(&self.rx_buf[..self.rx_len], &mut self.rx_pos);
+        self.stats.frames_rx += 1;
+        if decoded.is_err() {
+            self.stats.decode_errors += 1;
+        }
+        Ok(Some(decoded))
+    }
+
+    /// Adds one frame for `session` to the datagram under construction,
+    /// first sending that datagram if the frame would take it past
+    /// [`DATAGRAM_BUDGET`]. The frame is on the wire after the next
+    /// [`SocketMux::flush`] at the latest. A packet too long to frame is
+    /// a counted egress drop, not an error.
+    pub fn append(&mut self, session: u32, pkt: &Packet) -> io::Result<()> {
+        let cost = frame_wire_len(pkt);
+        if self.tx_frames > 0 && self.tx_wire + cost > DATAGRAM_BUDGET {
+            // An error out of here takes this frame with it.
+            self.flush().inspect_err(|_| self.stats.egress_drops += 1)?;
+        }
+        if append_frame(session, pkt, &mut self.tx_buf) {
+            self.tx_frames += 1;
+            self.tx_wire += cost;
+        } else {
+            self.stats.egress_drops += 1;
+        }
+        Ok(())
+    }
+
+    /// Sends the datagram under construction, if it holds anything. A
+    /// datagram the socket will not take — send buffer full
+    /// (`WouldBlock`) or too large (`EMSGSIZE`) — is dropped and its
+    /// frames counted: each was an idempotent refresh, and the caller's
+    /// poll goes on. Any other error is returned, its frames counted too.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.tx_frames == 0 {
+            return Ok(());
+        }
+        let sent = self.socket.send_to(&self.tx_buf, self.peer);
+        let frames = std::mem::take(&mut self.tx_frames);
+        self.tx_wire = 0;
+        self.tx_buf.clear();
+        match sent {
+            Ok(_) => {
+                self.stats.datagrams_tx += 1;
+                self.stats.frames_tx += frames;
+                Ok(())
             }
-            Err(e) => Err(e),
+            Err(e) => {
+                self.stats.egress_drops += frames;
+                let refused =
+                    e.kind() == io::ErrorKind::WouldBlock || e.raw_os_error() == Some(EMSGSIZE);
+                if refused {
+                    Ok(())
+                } else {
+                    Err(e)
+                }
+            }
         }
     }
 
-    /// Frames and sends one packet for `session`.
+    /// Frames one packet for `session` and sends it now: the
+    /// single-frame case of [`SocketMux::append`] + [`SocketMux::flush`].
     pub fn send(&mut self, session: u32, pkt: &Packet) -> io::Result<()> {
-        encode_frame(session, pkt, &mut self.tx_buf);
-        self.socket.send_to(&self.tx_buf, self.peer)?;
-        self.stats.datagrams_tx += 1;
-        Ok(())
+        self.append(session, pkt)?;
+        self.flush()
     }
 
     /// Socket counters.
@@ -214,32 +368,193 @@ impl SocketMux {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::RepairQueryPacket;
+    use crate::digest::Digest;
+    use crate::namespace::MetaTag;
+    use crate::wire::{NodeSummaryPacket, RepairQueryPacket, WireChildEntry};
+    use softstate::Key;
+
+    fn query(path: Vec<u16>) -> Packet {
+        Packet::RepairQuery(RepairQueryPacket { path })
+    }
+
+    /// A node summary of `leaves` FNV leaf entries: 13 + 24·leaves bytes
+    /// encoded.
+    fn summary(leaves: u16) -> Packet {
+        let entries = (0..leaves)
+            .map(|slot| WireChildEntry::Leaf {
+                slot,
+                key: Key(u64::from(slot)),
+                digest: Digest::from_u64(u64::from(slot)),
+                tag: MetaTag(0),
+            })
+            .collect();
+        Packet::NodeSummary(NodeSummaryPacket {
+            seq: 1,
+            path: Vec::new(),
+            entries,
+        })
+    }
+
+    /// Two muxes on loopback, the first targeting the second.
+    fn pair() -> (SocketMux, SocketMux) {
+        let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let rx = SocketMux::bind(any, any).unwrap();
+        let tx = SocketMux::bind(any, rx.local_addr().unwrap()).unwrap();
+        (tx, rx)
+    }
+
+    /// Everything `rx` has, waiting out loopback delivery.
+    fn drain(rx: &mut SocketMux) -> Vec<Result<Frame, FrameError>> {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::iter::from_fn(|| rx.recv().unwrap()).collect()
+    }
 
     #[test]
     fn frame_roundtrip() {
-        let pkt = Packet::RepairQuery(RepairQueryPacket { path: vec![1, 2] });
         let mut buf = BytesMut::new();
-        encode_frame(0xdead_beef, &pkt, &mut buf);
+        assert!(encode_frame(0xdead_beef, &query(vec![1, 2]), &mut buf));
         let frame = decode_frame(&buf).unwrap();
         assert_eq!(frame.session, 0xdead_beef);
-        assert!(matches!(frame.pkt, Packet::RepairQuery(q) if q.path == vec![1, 2]));
+        assert_eq!(frame.pkt, query(vec![1, 2]));
+        assert_eq!(decode_frames(&buf).count(), 1);
     }
 
     #[test]
     fn truncated_frame_rejected() {
-        assert_eq!(decode_frame(&[0, 1, 2]).unwrap_err(), FrameError::Truncated);
+        assert_eq!(
+            decode_frame(&[0, 1, 2, 3, 4]).unwrap_err(),
+            FrameError::Truncated
+        );
+        // A sound header promising more than the datagram holds.
+        assert_eq!(
+            decode_frame(&[0, 0, 0, 7, 0, 2, 4]).unwrap_err(),
+            FrameError::Truncated
+        );
     }
 
     #[test]
     fn garbage_payload_rejected() {
         let mut buf = BytesMut::new();
         buf.put_u32(7);
+        buf.put_u16(3);
         buf.extend_from_slice(&[0xff; 3]);
         assert!(matches!(
             decode_frame(&buf).unwrap_err(),
             FrameError::Wire(_)
         ));
+    }
+
+    /// A bad packet costs its own frame; a bad header costs the rest.
+    #[test]
+    fn walk_skips_a_bad_packet_and_stops_at_a_bad_header() {
+        let mut buf = BytesMut::new();
+        assert!(append_frame(1, &query(vec![1]), &mut buf));
+        buf.put_u32(2);
+        buf.put_u16(3);
+        buf.extend_from_slice(&[0xff; 3]);
+        assert!(append_frame(3, &query(vec![3]), &mut buf));
+        buf.put_u32(4);
+        buf.put_u16(100); // runs past the end
+        assert!(append_frame(5, &query(vec![5]), &mut buf));
+        let walked: Vec<_> = decode_frames(&buf).map(|f| f.map(|f| f.session)).collect();
+        assert!(
+            matches!(
+                walked[..],
+                [
+                    Ok(1),
+                    Err(FrameError::Wire(_)),
+                    Ok(3),
+                    Err(FrameError::Truncated)
+                ]
+            ),
+            "{walked:?}"
+        );
+    }
+
+    /// Frames share datagrams up to the budget, `flush` sends the rest,
+    /// and the receiver counts what it walked.
+    #[test]
+    fn appended_frames_share_datagrams_up_to_the_budget() {
+        let (mut tx, mut rx) = pair();
+        let pkt = summary(10); // 253 B encoded, 259 as a frame: 5 fit
+        let per_datagram = (DATAGRAM_BUDGET / frame_wire_len(&pkt)) as u64;
+        assert_eq!(per_datagram, 5);
+        for session in 0..12 {
+            tx.append(session, &pkt).unwrap();
+        }
+        assert_eq!(tx.stats().datagrams_tx, 2, "full datagrams leave at once");
+        tx.flush().unwrap();
+        tx.flush().unwrap(); // nothing left: not an empty datagram
+        let sent = tx.stats();
+        assert_eq!((sent.datagrams_tx, sent.frames_tx), (3, 12));
+        let got = drain(&mut rx);
+        let sessions: Vec<u32> = got.iter().map(|f| f.as_ref().unwrap().session).collect();
+        assert_eq!(sessions, (0..12).collect::<Vec<_>>());
+        assert!(got.iter().all(|f| f.as_ref().unwrap().pkt == pkt));
+        let seen = rx.stats();
+        assert_eq!(
+            (seen.datagrams_rx, seen.frames_rx, seen.decode_errors),
+            (3, 12, 0)
+        );
+    }
+
+    /// A frame over the budget travels alone, and closes the datagram
+    /// before it.
+    #[test]
+    fn oversized_frame_travels_alone() {
+        let (mut tx, mut rx) = pair();
+        let big = summary(100);
+        assert!(frame_wire_len(&big) > DATAGRAM_BUDGET);
+        tx.append(1, &query(vec![1])).unwrap();
+        tx.append(2, &big).unwrap();
+        tx.append(3, &query(vec![3])).unwrap();
+        tx.flush().unwrap();
+        assert_eq!(tx.stats().datagrams_tx, 3);
+        let got = drain(&mut rx);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[1].as_ref().unwrap().pkt, big);
+    }
+
+    /// What cannot be framed or sent is counted, and is not an error.
+    #[test]
+    fn unsendable_frames_are_counted_drops() {
+        let (mut tx, mut rx) = pair();
+        // 65,557 B encoded: past the u16 length prefix.
+        tx.send(1, &summary(2731)).unwrap();
+        assert_eq!(tx.stats().egress_drops, 1);
+        // 65,509 B encoded: framed, but more than a UDP datagram holds.
+        tx.send(2, &summary(2729)).unwrap();
+        assert_eq!(tx.stats().egress_drops, 2);
+        // A refused datagram drops every frame in it and nothing after.
+        tx.append(3, &query(vec![3])).unwrap();
+        tx.send(4, &query(vec![4])).unwrap();
+        let sent = tx.stats();
+        assert_eq!((sent.datagrams_tx, sent.frames_tx), (1, 2));
+        assert_eq!(drain(&mut rx).len(), 2);
+    }
+
+    /// A raw datagram — good frame, undecodable frame, good frame, cut
+    /// header — through the socket: the counters say what happened.
+    #[test]
+    fn recv_counts_frames_and_errors() {
+        let (tx, mut rx) = pair();
+        let mut buf = BytesMut::new();
+        assert!(append_frame(1, &query(vec![1]), &mut buf));
+        buf.put_u32(2);
+        buf.put_u16(1);
+        buf.put_u8(0xff);
+        assert!(append_frame(3, &query(vec![3]), &mut buf));
+        buf.extend_from_slice(&[0, 0, 0]);
+        let to = rx.local_addr().unwrap();
+        tx.socket().send_to(&buf, to).unwrap();
+        tx.socket().send_to(&[], to).unwrap();
+        let got = drain(&mut rx);
+        assert_eq!(got.iter().filter(|f| f.is_ok()).count(), 2);
+        let seen = rx.stats();
+        assert_eq!(
+            (seen.datagrams_rx, seen.frames_rx, seen.decode_errors),
+            (2, 5, 3)
+        );
     }
 
     #[test]

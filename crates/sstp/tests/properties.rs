@@ -1,6 +1,8 @@
 //! Property-based tests of the SSTP building blocks: wire-codec
-//! round-trips for arbitrary packets, namespace digest coherence under
-//! random operation sequences, and sender/receiver mirror equivalence.
+//! round-trips for arbitrary packets, the runtime mux's multi-frame
+//! datagram walk on valid, corrupted and arbitrary bytes, namespace digest
+//! coherence under random operation sequences, and sender/receiver mirror
+//! equivalence.
 //!
 //! This test binary (and no library crate) installs a counting global
 //! allocator, so the namespace properties can also assert that a digest
@@ -15,6 +17,7 @@ use proptest::prelude::*;
 use softstate::Key;
 use sstp::digest::{Digest, HashAlgorithm};
 use sstp::namespace::{MetaTag, Namespace};
+use sstp::runtime::mux::{append_frame, decode_frames, FrameError, FRAME_OVERHEAD};
 use sstp::wire::{
     DataPacket, NackPacket, NodeSummaryPacket, Packet, ReceiverReportPacket, RepairQueryPacket,
     RootSummaryPacket, WireChildEntry,
@@ -262,6 +265,94 @@ proptest! {
         for cut in 0..bytes.len() {
             if let Ok(other) = Packet::decode(bytes.slice(0..cut)) { prop_assert_ne!(&other, &pkt, "prefix {} decoded equal", cut) }
         }
+    }
+
+    /// The mux's walk over a datagram is total on arbitrary bytes: it
+    /// ends (each step takes a whole header or is the last), decodes no
+    /// more than it was given, and only its last step can be a framing
+    /// error — which is what discarding the rest means.
+    #[test]
+    fn frame_walk_is_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        let walked: Vec<_> = decode_frames(&bytes).collect();
+        prop_assert!(walked.len() <= bytes.len() / FRAME_OVERHEAD + 1);
+        let decoded: usize = walked
+            .iter()
+            .flatten()
+            .map(|f| FRAME_OVERHEAD + f.pkt.encoded_len())
+            .sum();
+        prop_assert!(decoded <= bytes.len());
+        let cut = walked.iter().position(|f| matches!(f, Err(FrameError::Truncated)));
+        prop_assert!(cut.is_none_or(|at| at == walked.len() - 1));
+    }
+
+    /// A datagram of 1..=40 frames of mixed kinds decodes to the same
+    /// sessions and packets, in order.
+    #[test]
+    fn frame_run_roundtrip(frames in prop::collection::vec((any::<u32>(), arb_packet()), 1..41)) {
+        let mut datagram = BytesMut::new();
+        for (session, pkt) in &frames {
+            prop_assert!(append_frame(*session, pkt, &mut datagram));
+        }
+        let walked: Vec<(u32, Packet)> = decode_frames(&datagram)
+            .map(|f| f.map(|f| (f.session, f.pkt)))
+            .collect::<Result<_, _>>()
+            .expect("a valid run decodes");
+        prop_assert_eq!(walked, frames);
+    }
+
+    /// One frame of a valid datagram corrupted, three ways. Its packet
+    /// made undecodable: one error, and every other frame — the ones
+    /// after it too — is delivered. Its `len` made to run past the end, or
+    /// the datagram cut inside its header: the frames before it are
+    /// delivered, then one error, and the rest is discarded. One error is
+    /// one `decode_errors` in `SocketMux::recv`.
+    #[test]
+    fn corrupt_frame_costs_itself_or_the_tail(
+        frames in prop::collection::vec((any::<u32>(), arb_packet()), 1..20),
+        victim in any::<usize>(),
+        how in 0u8..3,
+        header_bytes in 1usize..FRAME_OVERHEAD,
+    ) {
+        let victim = victim % frames.len();
+        let mut datagram = BytesMut::new();
+        let mut starts = Vec::new();
+        for (session, pkt) in &frames {
+            starts.push(datagram.len());
+            prop_assert!(append_frame(*session, pkt, &mut datagram));
+        }
+        let mut datagram = datagram.to_vec();
+        let at = starts[victim];
+        let survivors = match how {
+            0 => {
+                datagram[at + FRAME_OVERHEAD] = 0xff; // no such packet tag
+                frames.len()
+            }
+            1 => {
+                let overrun = u16::try_from(datagram.len() - at).expect("test datagrams are small");
+                datagram[at + 4..at + FRAME_OVERHEAD].copy_from_slice(&overrun.to_be_bytes());
+                victim + 1
+            }
+            _ => {
+                datagram.truncate(at + header_bytes);
+                victim + 1
+            }
+        };
+        let walked: Vec<_> = decode_frames(&datagram).collect();
+        prop_assert_eq!(walked.len(), survivors);
+        for (i, (got, (session, pkt))) in walked.iter().zip(&frames).enumerate() {
+            match got {
+                Ok(f) => {
+                    prop_assert_ne!(i, victim);
+                    prop_assert_eq!((f.session, &f.pkt), (*session, pkt));
+                }
+                Err(FrameError::Wire(_)) => prop_assert_eq!((i, how), (victim, 0)),
+                Err(FrameError::Truncated) => {
+                    prop_assert_eq!(i, victim);
+                    prop_assert_ne!(how, 0);
+                }
+            }
+        }
+        prop_assert_eq!(walked.iter().filter(|f| f.is_err()).count(), 1);
     }
 
     /// Identical operation sequences produce identical digests; any two

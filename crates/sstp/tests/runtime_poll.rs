@@ -11,20 +11,23 @@
 //! * the cold pacer's waiting line is first come, first served: under
 //!   contention every publisher gets the same number of summary slots;
 //! * a crashed slot's timers die with it: whoever reuses the slot starts
-//!   on its own schedule.
+//!   on its own schedule;
+//! * the frames of one poll share datagrams up to the mux's budget, and
+//!   every one of them is on the wire when that poll returns — throttled
+//!   or not, nothing is held for the next poll to fill.
 //!
 //! The pure halves (the deadline index, the supervisor's indexed probe
 //! schedule against the full scan it replaced) are property-tested under
 //! virtual time beside their code in `runtime/pacing.rs` and
 //! `runtime/supervisor.rs`.
 
-use ss_netsim::{MetricsSnapshot, SimDuration};
+use ss_netsim::{Bandwidth, MetricsSnapshot, SimDuration};
 use sstp::digest::HashAlgorithm;
 use sstp::namespace::MetaTag;
 use sstp::receiver::ReceiverConfig;
-use sstp::runtime::mux::{decode_frame, Frame};
+use sstp::runtime::mux::{append_frame, decode_frames, frame_wire_len, Frame, DATAGRAM_BUDGET};
 use sstp::runtime::{Runtime, RuntimeConfig};
-use sstp::wire::Packet;
+use sstp::wire::{Packet, RepairQueryPacket};
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
@@ -48,14 +51,54 @@ fn quiet_node(peer: &UdpSocket) -> RuntimeConfig {
     cfg
 }
 
-/// Every frame waiting on `sink` right now.
-fn arrivals(sink: &UdpSocket) -> Vec<Frame> {
-    let mut buf = [0u8; 2048];
+/// Every datagram waiting on `sink` right now, as the frames it carried.
+fn datagrams(sink: &UdpSocket) -> Vec<Vec<Frame>> {
+    let mut buf = vec![0u8; 65_536];
     let mut out = Vec::new();
     while let Ok((n, _)) = sink.recv_from(&mut buf) {
-        out.push(decode_frame(&buf[..n]).expect("runtime sent a malformed frame"));
+        let frames = decode_frames(&buf[..n]).map(|f| f.expect("runtime sent a malformed frame"));
+        out.push(frames.collect());
     }
     out
+}
+
+/// Every frame waiting on `sink` right now.
+fn arrivals(sink: &UdpSocket) -> Vec<Frame> {
+    datagrams(sink).into_iter().flatten().collect()
+}
+
+/// The mux's packing rule, read off the wire: a datagram is within the
+/// budget in wire-model bytes, or is one frame that could not be.
+fn assert_within_budget(datagrams: &[Vec<Frame>]) {
+    for frames in datagrams {
+        let wire: usize = frames.iter().map(|f| frame_wire_len(&f.pkt)).sum();
+        assert!(
+            wire <= DATAGRAM_BUDGET || frames.len() == 1,
+            "{} frames of {wire} wire-model bytes in one datagram",
+            frames.len()
+        );
+    }
+}
+
+/// Asks each of `sids` for its root's children — one repair query per
+/// session, all in one datagram from `sink` — and polls `rt` once.
+fn ask_for_root_summaries(rt: &mut Runtime, sink: &UdpSocket, sids: &[u32]) {
+    let mut ask = bytes::BytesMut::new();
+    let query = Packet::RepairQuery(RepairQueryPacket { path: Vec::new() });
+    for &sid in sids {
+        assert!(append_frame(sid, &query, &mut ask));
+    }
+    sink.send_to(&ask, rt.local_addr().unwrap()).expect("ask");
+    std::thread::sleep(Duration::from_millis(20));
+    rt.poll().expect("poll");
+    std::thread::sleep(Duration::from_millis(20));
+}
+
+fn egress(snap: &MetricsSnapshot) -> (u64, u64) {
+    (
+        snap.counter("runtime.egress.datagrams"),
+        snap.counter("runtime.egress.frames"),
+    )
 }
 
 /// Polls `rt` for `wall`, napping at most a millisecond, and returns the
@@ -363,4 +406,177 @@ fn rejoined_subscriber_reports_on_its_own_schedule() {
     // Report and expiry share a deadline here, so one wake-up serves both.
     let fired = loop_counts(&rt.metrics_snapshot()).2 - fired_before;
     assert!((1..=2).contains(&fired), "{fired} timers for one interval");
+}
+
+/// 64 publishers updated before one poll: their frames leave in as few
+/// datagrams as the budget allows, and all of them leave in *that* poll —
+/// the last, partial datagram included.
+#[test]
+fn one_poll_coalesces_its_frames_and_holds_none_back() {
+    const PUBLISHERS: u32 = 64;
+    let sink = sink();
+    let mut cfg = quiet_node(&sink);
+    cfg.summary_interval = SimDuration::from_secs(3600);
+    let mut rt = Runtime::bind(cfg).expect("bind");
+    let keys: Vec<_> = (0..PUBLISHERS)
+        .map(|_| {
+            let sid = rt.add_publisher(HashAlgorithm::Fnv64, 64);
+            let now = rt.now();
+            let tx = rt.publisher_mut(sid).unwrap();
+            let root = tx.root();
+            tx.publish(now, root, MetaTag(0))
+        })
+        .collect();
+    // Long enough for the cold pacer to serve every first summary.
+    poll_for(&mut rt, &sink, Duration::from_millis(100));
+
+    let before = egress(&rt.metrics_snapshot());
+    for (sid, &key) in keys.iter().enumerate() {
+        rt.publisher_mut(sid as u32).unwrap().update(key);
+    }
+    rt.poll().expect("poll");
+    // No second poll: what is not on the wire now was held back.
+    std::thread::sleep(Duration::from_millis(20));
+    let got = datagrams(&sink);
+    let after = egress(&rt.metrics_snapshot());
+
+    let frames: Vec<&Frame> = got.iter().flatten().collect();
+    let mut sessions: Vec<u32> = frames.iter().map(|f| f.session).collect();
+    sessions.sort_unstable();
+    assert_eq!(sessions, (0..PUBLISHERS).collect::<Vec<_>>());
+    assert!(frames.iter().all(|f| matches!(f.pkt, Packet::Data(_))));
+    assert_within_budget(&got);
+
+    let bytes: usize = frames.iter().map(|f| frame_wire_len(&f.pkt)).sum();
+    let fewest = bytes.div_ceil(DATAGRAM_BUDGET) as u64;
+    let (sent, sent_frames) = (after.0 - before.0, after.1 - before.1);
+    assert_eq!(sent_frames, u64::from(PUBLISHERS));
+    assert_eq!(sent, got.len() as u64);
+    assert!(
+        sent <= fewest + 1,
+        "{sent} datagrams for {bytes} wire-model bytes; {fewest} would hold them"
+    );
+}
+
+/// A node summary larger than the budget is not split and not dropped:
+/// it travels alone, closing the datagram before it, and arrives whole.
+#[test]
+fn summary_over_the_budget_travels_alone_and_intact() {
+    const KEYS: usize = 100;
+    let sink = sink();
+    let mut cfg = quiet_node(&sink);
+    cfg.summary_interval = SimDuration::from_secs(3600);
+    let mut rt = Runtime::bind(cfg).expect("bind");
+    let [before, wide, after] = [(); 3].map(|()| rt.add_publisher(HashAlgorithm::Fnv64, 64));
+    let now = rt.now();
+    let tx = rt.publisher_mut(wide).unwrap();
+    let root = tx.root();
+    for k in 0..KEYS {
+        tx.publish(now, root, MetaTag(k as u32));
+    }
+    poll_for(&mut rt, &sink, Duration::from_millis(100));
+
+    ask_for_root_summaries(&mut rt, &sink, &[before, wide, after]);
+    let got = datagrams(&sink);
+    assert_within_budget(&got);
+
+    let carriers: Vec<&[Frame]> = got
+        .iter()
+        .map(Vec::as_slice)
+        .filter(|d| d.iter().any(|f| f.session == wide))
+        .collect();
+    let [[Frame {
+        pkt: pkt @ Packet::NodeSummary(summary),
+        ..
+    }]] = carriers[..]
+    else {
+        panic!("the wide summary did not travel alone, once: {carriers:?}");
+    };
+    assert!(frame_wire_len(pkt) > DATAGRAM_BUDGET);
+    assert_eq!(summary.entries.len(), KEYS, "the summary arrived whole");
+    let sessions: Vec<u32> = got.iter().flatten().map(|f| f.session).collect();
+    assert_eq!(sessions, [before, wide, after], "replies in queue order");
+    assert_eq!(got.len(), 3, "the wide frame closed the datagram before it");
+    let snap = rt.metrics_snapshot();
+    assert_eq!(snap.counter("runtime.ingress.datagrams"), 1);
+    assert_eq!(snap.counter("runtime.ingress.frames"), 3);
+    assert_eq!(snap.counter("runtime.ingress.routed"), 3);
+    assert_eq!(snap.counter("runtime.egress.drops"), 0);
+}
+
+/// The global bucket refusing mid-queue does not strand what was already
+/// taken off the queue: the partial datagram is sent before `poll`
+/// returns the bucket's eta.
+#[test]
+fn throttled_flush_still_sends_the_partial_datagram() {
+    const PUBLISHERS: u32 = 20;
+    let sink = sink();
+    let mut cfg = quiet_node(&sink);
+    cfg.summary_interval = SimDuration::from_secs(3600);
+    // One second of burst is 1000 bytes: a handful of frames.
+    cfg.bandwidth = Bandwidth::from_kbps(8);
+    let mut rt = Runtime::bind(cfg).expect("bind");
+    for _ in 0..PUBLISHERS {
+        let sid = rt.add_publisher(HashAlgorithm::Fnv64, 64);
+        let now = rt.now();
+        let tx = rt.publisher_mut(sid).unwrap();
+        let root = tx.root();
+        tx.publish(now, root, MetaTag(0));
+    }
+    let wake = rt.poll().expect("poll");
+    std::thread::sleep(Duration::from_millis(20));
+    let got = datagrams(&sink);
+    let snap = rt.metrics_snapshot();
+
+    assert!(
+        snap.counter("runtime.throttled") >= 1,
+        "bucket never refused"
+    );
+    let eta = wake.saturating_since(rt.now());
+    assert!(
+        eta <= SimDuration::from_secs(1),
+        "poll did not return the bucket's eta: {wake:?}"
+    );
+    let frames = got.iter().map(Vec::len).sum::<usize>() as u64;
+    assert!(
+        (1..u64::from(PUBLISHERS)).contains(&frames),
+        "{frames} frames passed a 1000-byte bucket"
+    );
+    assert_eq!(got.len(), 1, "a handful of frames is one datagram");
+    assert_eq!(egress(&snap), (1, frames), "popped frames all left");
+    assert_within_budget(&got);
+}
+
+/// A root so wide that its node summary is more than a UDP datagram
+/// holds (2729 leaves: 65,509 bytes, which the kernel refuses with
+/// `EMSGSIZE`) or more than the frame's `u16` length can say (2800
+/// leaves): the poll neither fails nor stalls. The summary is a counted
+/// egress drop and the frame queued behind it still leaves.
+#[test]
+fn unsendable_summary_is_a_counted_drop_and_the_poll_goes_on() {
+    for leaves in [2729usize, 2800] {
+        let sink = sink();
+        let mut cfg = quiet_node(&sink);
+        cfg.summary_interval = SimDuration::from_secs(3600);
+        cfg.session_bandwidth = Bandwidth::from_mbps(10_000);
+        let mut rt = Runtime::bind(cfg).expect("bind");
+        let wide = rt.add_publisher(HashAlgorithm::Fnv64, 64);
+        let small = rt.add_publisher(HashAlgorithm::Fnv64, 64);
+        let now = rt.now();
+        let tx = rt.publisher_mut(wide).unwrap();
+        let root = tx.root();
+        for k in 0..leaves {
+            tx.publish(now, root, MetaTag(k as u32));
+        }
+        poll_for(&mut rt, &sink, Duration::from_millis(200));
+        let before = rt.metrics_snapshot();
+
+        ask_for_root_summaries(&mut rt, &sink, &[wide, small]);
+        let sessions: Vec<u32> = arrivals(&sink).iter().map(|f| f.session).collect();
+        assert_eq!(sessions, [small], "{leaves} leaves");
+        let after = rt.metrics_snapshot();
+        let grew = |name| after.counter(name) - before.counter(name);
+        assert_eq!(grew("runtime.egress.drops"), 1, "{leaves} leaves");
+        assert_eq!(grew("runtime.egress.frames"), 1, "{leaves} leaves");
+    }
 }

@@ -249,6 +249,31 @@ fn soak(n: usize, seed: u64) {
             snap.counter("runtime.poll.sessions_stepped")
                 >= snap.counter("runtime.poll.timers_fired")
         );
+        // Datagrams carry runs of frames, and every frame that came in is
+        // accounted for exactly once: routed to an inbox, refused by a
+        // full one, dropped by a loss hook, addressed to no session, or
+        // undecodable.
+        for dir in ["ingress", "egress"] {
+            let frames = snap.counter(&format!("runtime.{dir}.frames"));
+            let datagrams = snap.counter(&format!("runtime.{dir}.datagrams"));
+            assert!(
+                frames >= datagrams && datagrams > 0,
+                "{dir}: {frames} frames in {datagrams} datagrams"
+            );
+        }
+        let fates = [
+            "runtime.ingress.routed",
+            "runtime.backpressure.drops",
+            "runtime.fault.drops",
+            "runtime.loss.injected",
+            "runtime.route.unknown",
+            "runtime.decode.errors",
+        ];
+        assert_eq!(
+            snap.counter("runtime.ingress.frames"),
+            fates.iter().map(|name| snap.counter(name)).sum::<u64>(),
+            "an ingress frame was lost uncounted, or counted twice"
+        );
     }
 
     // The health metrics flow through the shared registry under their
