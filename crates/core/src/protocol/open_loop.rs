@@ -368,15 +368,6 @@ impl TracedWorld for Sim {
     }
 }
 
-std::thread_local! {
-    /// Recycled event-queue allocation: sweep workers run many points
-    /// back-to-back, and a cleared queue is indistinguishable from a
-    /// fresh one (see `EventQueue::clear`), so reuse only saves the
-    /// re-growth of the heap.
-    static QUEUE_POOL: std::cell::RefCell<EventQueue<Ev>> =
-        std::cell::RefCell::new(EventQueue::with_capacity(256));
-}
-
 /// Runs an open-loop announce/listen simulation to completion and reports
 /// the paper's metrics.
 pub fn run(cfg: &OpenLoopConfig) -> OpenLoopReport {
@@ -388,7 +379,7 @@ pub fn run(cfg: &OpenLoopConfig) -> OpenLoopReport {
 /// blocks nothing.
 pub fn run_faulted(cfg: &OpenLoopConfig, faults: &FaultSpec) -> OpenLoopReport {
     let mut sim = Sim::new(cfg.clone(), faults);
-    let mut q: EventQueue<Ev> = QUEUE_POOL.with(|c| std::mem::take(&mut *c.borrow_mut()));
+    let mut q: EventQueue<Ev> = EventQueue::with_capacity(256);
     let end = SimTime::ZERO + cfg.duration;
 
     if sim.jobs.tracer().is_enabled() {
@@ -431,8 +422,6 @@ pub fn run_faulted(cfg: &OpenLoopConfig, faults: &FaultSpec) -> OpenLoopReport {
     };
     let fault_drops = sim.jobs.metrics().counter_value(sim.c_fault_lost);
     let (stats, metrics, events, trace) = sim.jobs.finish(end);
-    q.clear();
-    QUEUE_POOL.with(|c| *c.borrow_mut() = q);
     OpenLoopReport {
         stats,
         transmissions,

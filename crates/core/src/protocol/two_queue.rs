@@ -571,15 +571,6 @@ impl TracedWorld for Sim {
     }
 }
 
-std::thread_local! {
-    /// Recycled event-queue allocation: sweep workers run many points
-    /// back-to-back, and a cleared queue is indistinguishable from a
-    /// fresh one (see `EventQueue::clear`), so reuse only saves the
-    /// re-growth of the heap.
-    static QUEUE_POOL: std::cell::RefCell<EventQueue<Ev>> =
-        std::cell::RefCell::new(EventQueue::with_capacity(256));
-}
-
 /// Runs a two-queue simulation and reports the paper's metrics.
 pub fn run(cfg: &TwoQueueConfig) -> TwoQueueReport {
     run_faulted(cfg, &FaultSpec::none())
@@ -590,7 +581,7 @@ pub fn run(cfg: &TwoQueueConfig) -> TwoQueueReport {
 /// blocks nothing.
 pub fn run_faulted(cfg: &TwoQueueConfig, faults: &FaultSpec) -> TwoQueueReport {
     let mut sim = Sim::new(cfg.clone(), faults);
-    let mut q: EventQueue<Ev> = QUEUE_POOL.with(|c| std::mem::take(&mut *c.borrow_mut()));
+    let mut q: EventQueue<Ev> = EventQueue::with_capacity(256);
     let end = SimTime::ZERO + cfg.duration;
 
     if sim.jobs.tracer().is_enabled() {
@@ -645,8 +636,6 @@ pub fn run_faulted(cfg: &TwoQueueConfig, faults: &FaultSpec) -> TwoQueueReport {
         .mean_until(end);
     let (stats, metrics, events, trace) = sim.jobs.finish(end);
     let final_hot_backlog = sim.hot.len();
-    q.clear();
-    QUEUE_POOL.with(|c| *c.borrow_mut() = q);
     TwoQueueReport {
         stats,
         hot_transmissions: hot_tx,

@@ -5,16 +5,57 @@
 //! each event, possibly scheduling more. Ties in time break by insertion
 //! order (a monotone sequence number), so runs are fully deterministic.
 //!
-//! Storage is a hierarchical timing wheel ([`crate::wheel::TimerWheel`]),
-//! chosen because the soft-state workload is overwhelmingly timers at
-//! fixed offsets (TTL expirations, refresh cycles): those insert and pop
-//! in O(1) instead of a heap's O(log n). The pop order — ascending
-//! `(time, seq)` — is identical to the binary heap this queue used
-//! through PR 6, so every committed artifact is byte-for-byte unchanged.
-//! DESIGN.md §14 documents the geometry and the determinism contract.
+//! Storage is a `std` [`BinaryHeap`] keyed by `(time, seq)` ascending.
+//! The soft-state workload keeps few events pending — most runs never
+//! hold more than 8, the session simulator a few hundred — so the whole
+//! heap sits in a cache line or two and a pop is a handful of compares.
+//! `(time, seq)` is a total order, so the pop order — and with it every
+//! committed artifact — is a property of the contract, not of the
+//! container. DESIGN.md §14 has the measured populations.
 
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimerWheel;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+/// One pending event. Ordered by `(at, seq)` **reversed**, so `std`'s
+/// max-heap pops the earliest time first and, within a tick, the
+/// earliest scheduled. `seq` is unique, so no two entries compare equal
+/// and the payload never takes part in the order.
+#[derive(Debug)]
+struct Entry<E> {
+    at: SimTime,
+    seq: u64,
+    payload: E,
+}
+
+impl<E> Entry<E> {
+    /// `(at, seq)` as one integer, so the heap's sift compares once.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.at.as_micros()) << 64) | u128::from(self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
 
 /// A deterministic time-ordered event queue with a virtual clock.
 ///
@@ -40,7 +81,7 @@ use crate::wheel::TimerWheel;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    wheel: TimerWheel<E>,
+    heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     seq: u64,
     popped: u64,
@@ -55,43 +96,19 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     pub fn new() -> Self {
-        EventQueue {
-            wheel: TimerWheel::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            popped: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// An empty queue with room for `cap` pending events before the
-    /// wheel's buffers reallocate. Protocol runners size this for their
-    /// steady-state event population so the hot loop never grows them.
+    /// An empty queue with room for `cap` pending events before the heap
+    /// reallocates. Protocol runners size this for their steady-state
+    /// event population so the hot loop never grows it.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            wheel: TimerWheel::with_capacity(cap),
+            heap: BinaryHeap::with_capacity(cap),
             now: SimTime::ZERO,
             seq: 0,
             popped: 0,
         }
-    }
-
-    /// Resets the queue to its freshly-constructed state — clock at zero,
-    /// sequence and dispatch counters at zero, no pending events — while
-    /// **keeping the wheel's allocations**. A cleared queue is
-    /// indistinguishable from a new one (same FIFO tie-breaking, same
-    /// panics on past scheduling), which is what lets sweep runners reuse
-    /// one allocation across many independent simulation points.
-    pub fn clear(&mut self) {
-        self.wheel.clear();
-        self.now = SimTime::ZERO;
-        self.seq = 0;
-        self.popped = 0;
-    }
-
-    /// Number of pending events the wheel's buffers can hold without
-    /// reallocating.
-    pub fn capacity(&self) -> usize {
-        self.wheel.capacity()
     }
 
     /// The current virtual time (timestamp of the last popped event).
@@ -109,7 +126,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.wheel.insert(at, seq, payload);
+        self.heap.push(Entry { at, seq, payload });
     }
 
     /// Schedules `payload` to fire `delay` after the current clock.
@@ -121,27 +138,27 @@ impl<E> EventQueue<E> {
     /// timestamp. Returns `None` when the queue is exhausted.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, _seq, payload) = self.wheel.pop()?;
+        let Entry { at, payload, .. } = self.heap.pop()?;
         debug_assert!(at >= self.now);
         self.now = at;
         self.popped += 1;
         Some((at, payload))
     }
 
-    /// Timestamp of the earliest pending event, if any. O(1): the wheel
-    /// keeps the minimum cached.
+    /// Timestamp of the earliest pending event, if any. O(1): the heap's
+    /// root.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek_time()
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.heap.is_empty()
     }
 
     /// Total events dispatched so far (a cheap progress/diagnostic counter).
@@ -225,7 +242,7 @@ pub fn run_until_traced<W: TracedWorld>(world: &mut W, q: &mut EventQueue<W::Eve
 
 /// [`run_until`] plus `ss-profile` phase attribution: each queue pop is
 /// charged to [`profile::WHEEL_PHASE`](crate::profile::WHEEL_PHASE)
-/// (wheel advance and cascade) and each dispatch runs inside an
+/// (the queue pop) and each dispatch runs inside an
 /// `ev:<label>` phase scope, so every dispatched event lands in exactly
 /// one named root phase. The tracer dispatch mark is kept, so a run
 /// that is both traced and profiled loses nothing.
@@ -334,62 +351,6 @@ mod tests {
         assert_eq!(w.fired, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(6)));
-    }
-
-    #[test]
-    fn with_capacity_preallocates() {
-        let q: EventQueue<u8> = EventQueue::with_capacity(64);
-        assert!(q.capacity() >= 64);
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn cleared_queue_behaves_like_new() {
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(16);
-        q.schedule(SimTime::from_secs(1), 1);
-        q.schedule(SimTime::from_secs(2), 2);
-        q.pop();
-        let cap = q.capacity();
-        q.clear();
-
-        // Fully reset: clock, counters, pending events.
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.dispatched(), 0);
-        assert_eq!(q.scheduled(), 0);
-        // The allocation survives the reset.
-        assert!(q.capacity() >= cap);
-        // The clock reset means "the past" is rewritable again.
-        q.schedule(SimTime::ZERO, 9);
-        assert_eq!(q.pop().unwrap().1, 9);
-    }
-
-    #[test]
-    fn cleared_queue_keeps_deterministic_fifo_tie_breaking() {
-        // The tie-break invariant (equal timestamps pop in insertion
-        // order) must hold identically on a fresh queue and on one that
-        // has been used and cleared — reuse must not perturb `seq`.
-        let order_after = |q: &mut EventQueue<u32>| {
-            let t = SimTime::from_secs(7);
-            for i in 0..16 {
-                q.schedule(t, i);
-            }
-            std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect::<Vec<u32>>()
-        };
-        let mut fresh: EventQueue<u32> = EventQueue::new();
-        let expected = order_after(&mut fresh);
-
-        let mut reused: EventQueue<u32> = EventQueue::with_capacity(4);
-        // Dirty the queue thoroughly, then clear.
-        for i in 0..64 {
-            reused.schedule(SimTime::from_secs(i), i as u32);
-        }
-        for _ in 0..40 {
-            reused.pop();
-        }
-        reused.clear();
-        assert_eq!(order_after(&mut reused), expected);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! * [`time`] — integer-microsecond virtual clock ([`SimTime`],
 //!   [`SimDuration`]).
 //! * [`units`] — [`Bandwidth`] in bits/s, with exact serialization delays.
-//! * [`engine`] — the event queue and run loop ([`EventQueue`], [`World`]).
-//! * [`wheel`] — the hierarchical timing wheel backing the event queue
-//!   ([`wheel::TimerWheel`]); DESIGN.md §14 covers its geometry and
-//!   determinism contract.
+//! * [`engine`] — the event queue and run loop ([`EventQueue`], [`World`]):
+//!   a binary heap popping in ascending `(time, seq)`; DESIGN.md §14
+//!   covers that contract and why a heap is the right size for it.
 //! * [`arena`] — generational-index arenas for per-record protocol state
 //!   ([`arena::Arena`]), replacing per-record map allocations in the hot
 //!   loop.
@@ -77,7 +76,6 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 pub mod units;
-pub mod wheel;
 
 pub use arena::{Arena, Handle};
 pub use engine::{

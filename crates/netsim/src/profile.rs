@@ -1,6 +1,6 @@
 //! `ss-profile`: a deterministic hierarchical phase profiler.
 //!
-//! ROADMAP item 2 claims the post-timer-wheel bottleneck moved to
+//! An early ROADMAP claimed the engine's bottleneck had moved to
 //! "digest trees and per-receiver probes" — but nothing in the repo
 //! could attribute run time to subsystems, so the claim was anecdotal.
 //! This module fixes that with scoped phase timers that satisfy the
@@ -27,10 +27,10 @@
 //! Phases form a tree. [`scope`] opens a named phase nested under
 //! whatever phase is active on the current thread; paths join segments
 //! with `/`. The engine's profiled run loop uses two reserved shapes:
-//! [`WHEEL_PHASE`] for queue pops (wheel advance + cascade) and
-//! `ev:<label>` roots for event dispatch — one per dispatched event, so
-//! summing `ev:` roots reproduces the engine's dispatch counter exactly
-//! (the ≥95 % attribution gate in ISSUE 9 falls out by construction).
+//! [`WHEEL_PHASE`] for queue pops and `ev:<label>` roots for event
+//! dispatch — one per dispatched event, so summing `ev:` roots
+//! reproduces the engine's dispatch counter exactly (the ≥95 %
+//! attribution gate in ISSUE 9 falls out by construction).
 //!
 //! # Lifecycle
 //!
@@ -47,8 +47,10 @@ use std::sync::Mutex;
 // lint: allow(D001, the profiler is the sanctioned wall-clock reader; wall fields never reach committed artifacts)
 use std::time::Instant;
 
-/// Phase name the engine's profiled loop charges queue pops to: timer
-/// wheel advance, cascade, and min-tracking.
+/// Phase name the engine's profiled loop charges each queue pop to. The
+/// value predates the heap (committed `results/profile/*.profile.jsonl`
+/// artifacts and the benchmark's `netsim.wheel.*` rows carry it), so it
+/// stays `"wheel.advance"` while the queue behind it is a binary heap.
 pub const WHEEL_PHASE: &str = "wheel.advance";
 
 /// Prefix marking a root phase as one engine event dispatch.

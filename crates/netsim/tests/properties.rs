@@ -136,72 +136,107 @@ proptest! {
     }
 }
 
-/// One step of a randomized schedule driven against both queue
-/// implementations at once.
+/// One step of a randomized schedule driven against the queue and its
+/// model at once.
 #[derive(Debug, Clone)]
 enum QueueOp {
-    /// Schedule an event this many microseconds after the current clock.
+    /// Schedule an event this many microseconds after the current clock
+    /// (0 = at `now`, behind whatever is still pending for this tick).
     Schedule(u64),
-    /// Pop one event and compare against the reference model.
+    /// Schedule this many events for one and the same future tick.
+    Burst(u64, usize),
+    /// Schedule an event at `SimTime::MAX`, the "never" sentinel.
+    Sentinel,
+    /// Pop one event and compare against the model.
     Pop,
 }
 
-/// Delays spanning every wheel level *and* the far-future spill
-/// (shifts past 36 bits exceed the 64^6-tick wheel horizon), plus a
-/// heavy dose of zero/near-zero delays to force same-timestamp bursts.
+/// Delays from 1 µs to 2^44 µs (≈ 200 days, far past any run's
+/// horizon), a heavy dose of zero/near-zero delays and same-tick bursts
+/// to force ties — including scheduling at `now` while a burst for that
+/// tick is still draining — and pops interleaved throughout.
 fn queue_op() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
         (0u32..44, 0u64..64).prop_map(|(shift, off)| QueueOp::Schedule((1u64 << shift) + off)),
         (0u64..4).prop_map(QueueOp::Schedule),
+        (0u64..3, 2usize..6).prop_map(|(d, n)| QueueOp::Burst(d, n)),
+        Just(QueueOp::Sentinel),
+        Just(QueueOp::Pop),
         Just(QueueOp::Pop),
     ]
 }
 
-proptest! {
-    /// The timer-wheel queue dequeues in *exactly* the order of a
-    /// reference `BinaryHeap` with `(time, seq)` keys — the structure it
-    /// replaced — across random interleavings of scheduling and popping,
-    /// including same-timestamp bursts and beyond-horizon overflow. This
-    /// is the determinism contract that keeps committed artifacts
-    /// byte-identical across the engine swap (DESIGN.md §14).
-    #[test]
-    fn wheel_matches_binary_heap_reference(ops in prop::collection::vec(queue_op(), 1..500)) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+/// The model: pending events in a `Vec` kept **stably sorted by time**.
+/// A new event goes behind every event whose time is not later, so
+/// insertion order breaks ties — FIFO by definition, with no sequence
+/// number and no heap anywhere in the model.
+#[derive(Default)]
+struct SortedModel(Vec<(SimTime, u32)>);
 
+impl SortedModel {
+    fn schedule(&mut self, at: SimTime, payload: u32) {
+        let behind = self.0.partition_point(|&(t, _)| t <= at);
+        self.0.insert(behind, (at, payload));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        (!self.0.is_empty()).then(|| self.0.remove(0))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.0.first().map(|&(t, _)| t)
+    }
+}
+
+proptest! {
+    /// `EventQueue` dequeues in *exactly* the order of the sorted-`Vec`
+    /// model — ascending time, FIFO within a tick — across random
+    /// interleavings of scheduling and popping, and agrees with it on
+    /// `peek_time` and `len` after every step. This is the whole
+    /// contract the simulators rely on (DESIGN.md §14); the model shares
+    /// no structure with the queue's heap, so agreement is not a
+    /// tautology.
+    #[test]
+    fn event_queue_matches_sorted_vec_model(ops in prop::collection::vec(queue_op(), 1..500)) {
         let mut q: EventQueue<u32> = EventQueue::new();
-        let mut reference: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut now = SimTime::ZERO;
+        let mut model = SortedModel::default();
+        let mut next = 0u32;
         for op in ops {
-            match op {
-                QueueOp::Schedule(d) => {
-                    let at = now.saturating_add(SimDuration::from_micros(d));
-                    q.schedule(at, seq as u32);
-                    reference.push(Reverse((at, seq, seq as u32)));
-                    seq += 1;
-                }
+            let after = |d: u64| q.now().saturating_add(SimDuration::from_micros(d));
+            // What the step schedules: `n` events for the tick `at`.
+            let (at, n) = match op {
+                QueueOp::Schedule(d) => (after(d), 1),
+                QueueOp::Burst(d, n) => (after(d), n),
+                QueueOp::Sentinel => (SimTime::MAX, 1),
                 QueueOp::Pop => {
                     let got = q.pop();
-                    let want = reference.pop().map(|Reverse((t, _, p))| (t, p));
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(got, model.pop());
                     if let Some((t, _)) = got {
-                        now = t;
+                        prop_assert_eq!(q.now(), t, "the clock follows the popped event");
                     }
-                    prop_assert_eq!(q.peek_time(), reference.peek().map(|Reverse((t, _, _))| *t));
-                    prop_assert_eq!(q.len(), reference.len());
+                    (q.now(), 0) // a pop schedules nothing
                 }
+            };
+            for _ in 0..n {
+                q.schedule(at, next);
+                model.schedule(at, next);
+                next += 1;
             }
+            prop_assert_eq!(q.peek_time(), model.peek_time());
+            prop_assert_eq!(q.len(), model.0.len());
         }
         // Drain both to the end: the tails must agree too.
         loop {
             let got = q.pop();
-            let want = reference.pop().map(|Reverse((t, _, p))| (t, p));
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(got, model.pop());
+            prop_assert_eq!(q.peek_time(), model.peek_time());
+            prop_assert_eq!(q.len(), model.0.len());
             if got.is_none() {
                 break;
             }
         }
+        prop_assert_eq!(q.dispatched(), u64::from(next));
+        prop_assert_eq!(q.scheduled(), u64::from(next));
     }
 }
 

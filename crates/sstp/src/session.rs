@@ -1195,15 +1195,6 @@ impl TracedWorld for Sim {
     }
 }
 
-std::thread_local! {
-    /// Recycled event-queue allocation: sweep workers run many sessions
-    /// back-to-back, and a cleared queue is indistinguishable from a
-    /// fresh one (see `EventQueue::clear`), so reuse only saves the
-    /// re-growth of the heap.
-    static QUEUE_POOL: std::cell::RefCell<EventQueue<Ev>> =
-        std::cell::RefCell::new(EventQueue::with_capacity(256));
-}
-
 /// Runs a full SSTP session and reports all metrics.
 ///
 /// The report carries both the classic typed fields
@@ -1244,7 +1235,7 @@ std::thread_local! {
 pub fn run(cfg: &SessionConfig) -> SessionReport {
     assert!(cfg.n_receivers >= 1, "need at least one receiver");
     let mut sim = Sim::new(cfg.clone());
-    let mut q: EventQueue<Ev> = QUEUE_POOL.with(|c| std::mem::take(&mut *c.borrow_mut()));
+    let mut q: EventQueue<Ev> = EventQueue::with_capacity(256);
     let end = SimTime::ZERO + cfg.duration;
 
     // Initial records for bulk workloads.
@@ -1364,8 +1355,6 @@ pub fn run(cfg: &SessionConfig) -> SessionReport {
         feedback_bytes: sim.registry.counter_value(sim.c_fb_bytes),
     };
     let metrics = sim.registry.snapshot(end);
-    q.clear();
-    QUEUE_POOL.with(|c| *c.borrow_mut() = q);
 
     let receivers = (0..cfg.n_receivers)
         .map(|i| ReceiverOutcome {
