@@ -363,24 +363,31 @@ impl SstpReceiver {
                 }
                 // Fragment reassembly: track the contiguous right edge of
                 // the version being received; the replica only takes the
-                // value once the whole ADU is in hand.
-                let entry = self.reasm.entry(d.key).or_insert((d.version, 0));
-                if d.version > entry.0 {
-                    // A newer version supersedes any partial assembly.
-                    *entry = (d.version, 0);
-                } else if d.version < entry.0 {
-                    if !self.muts.accept_stale {
-                        return; // stale fragment of an old version
+                // value once the whole ADU is in hand. A whole ADU for a
+                // key with nothing in assembly is its own edge and leaves
+                // no record.
+                let contiguous = if d.is_whole() && !self.reasm.contains_key(&d.key) {
+                    self.stats.fragments_advanced += u64::from(d.total_len > 0);
+                    d.total_len
+                } else {
+                    let entry = self.reasm.entry(d.key).or_insert((d.version, 0));
+                    if d.version > entry.0 {
+                        // A newer version supersedes any partial assembly.
+                        *entry = (d.version, 0);
+                    } else if d.version < entry.0 {
+                        if !self.muts.accept_stale {
+                            return; // stale fragment of an old version
+                        }
+                        // Defect: a reordered old-version fragment restarts
+                        // assembly at the stale version.
+                        *entry = (d.version, 0);
                     }
-                    // Defect: a reordered old-version fragment restarts
-                    // assembly at the stale version.
-                    *entry = (d.version, 0);
-                }
-                if d.offset <= entry.1 && d.end() > entry.1 {
-                    entry.1 = d.end();
-                    self.stats.fragments_advanced += 1;
-                }
-                let contiguous = entry.1;
+                    if d.offset <= entry.1 && d.end() > entry.1 {
+                        entry.1 = d.end();
+                        self.stats.fragments_advanced += 1;
+                    }
+                    entry.1
+                };
                 self.mirror.mirror_adu(
                     &d.parent_path,
                     d.slot,
@@ -478,6 +485,7 @@ impl SstpReceiver {
                     let p = *parent.get_or_insert_with(|| self.mirror.ensure_interior_at(path));
                     if let Some(key) = self.mirror.mirror_tombstone(p, *slot) {
                         self.replica.remove(key);
+                        self.reasm.remove(&key);
                     }
                 }
                 E::Interior { slot, digest, tag } => {
@@ -719,6 +727,8 @@ fn hash_fb_kind(h: &mut StateHasher, kind: &FbKind) {
 mod tests {
     use super::*;
     use crate::sender::SstpSender;
+    use crate::wire::{DataPacket, NodeSummaryPacket, WireChildEntry};
+    use proptest::prelude::*;
 
     fn pair() -> (SstpSender, SstpReceiver) {
         let s = SstpSender::new(HashAlgorithm::Fnv64, 1000);
@@ -926,6 +936,97 @@ mod tests {
         let fb = repair_round(later, &mut s, &mut r);
         assert!(fb >= 1);
         assert!(r.replica().get(k).is_some(), "re-fetched after expiry");
+    }
+
+    /// A fragmented ADU received in part and then withdrawn leaves no
+    /// assembly record behind: the tombstone that purges the mirror leaf
+    /// purges it too, as expiry does for keys the replica held.
+    #[test]
+    fn tombstone_drops_a_partial_assembly() {
+        let (s, saw) = pair();
+        let mut s = s.with_mtu(400);
+        let (mut saw, mut never) = (saw.clone(), saw);
+        let root = s.root();
+        let k = s.publish(SimTime::ZERO, root, MetaTag(0));
+        let first = s.next_hot_packet().unwrap();
+        assert!(matches!(&first, Packet::Data(d) if !d.is_whole()));
+        saw.on_packet(SimTime::ZERO, &first);
+        assert_ne!(saw.fingerprint(), never.fingerprint());
+
+        assert!(s.withdraw(k));
+        s.on_packet(&Packet::RepairQuery(RepairQueryPacket { path: vec![] }));
+        let summary = s.next_hot_packet().unwrap();
+        assert!(matches!(summary, Packet::NodeSummary(_)));
+        for rx in [&mut saw, &mut never] {
+            rx.on_packet(SimTime::from_secs(1), &summary);
+        }
+        assert!(saw.reasm.is_empty(), "assembly record outlived its key");
+        assert_eq!(saw.fingerprint(), never.fingerprint());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The whole-ADU fast path against the assembly map it bypasses:
+        /// whole and fragmented packets of interleaved keys and versions
+        /// (stale, duplicate, out of order, zero-length), tombstones and
+        /// expiry sweeps in between. The oracle is the same receiver with
+        /// the record that path would create planted before each data
+        /// packet, which forces every packet through the map. Replica,
+        /// stats and fingerprint agree after every step.
+        #[test]
+        fn whole_adu_fast_path_matches_assembly_map(
+            ops in prop::collection::vec((0u8..10, 0u64..4, 1u64..5, 0u32..4), 1..120),
+        ) {
+            let (_, mut fast) = pair();
+            let mut forced = fast.clone();
+            let mut now = SimTime::ZERO;
+            for (op, key, version, piece) in ops {
+                now += SimDuration::from_secs(1);
+                let pkt = match op {
+                    0 => {
+                        now += SimDuration::from_secs(20); // TTL is 30 s
+                        prop_assert_eq!(fast.expire(now), forced.expire(now));
+                        continue;
+                    }
+                    1 => Packet::NodeSummary(NodeSummaryPacket {
+                        seq: 0,
+                        path: vec![],
+                        entries: vec![WireChildEntry::Dead { slot: key as u16 }],
+                    }),
+                    _ => {
+                        // Version 4 is an empty ADU; the others are 300
+                        // bytes, whole or as one of three fragments.
+                        let total_len = if version == 4 { 0 } else { 300 };
+                        let (offset, payload_len) = match piece {
+                            0 => (0, total_len),
+                            n => ((n - 1) * 100, total_len / 3),
+                        };
+                        let d = DataPacket {
+                            seq: 0,
+                            key: Key(key),
+                            version,
+                            parent_path: vec![],
+                            slot: key as u16,
+                            tag: MetaTag(0),
+                            offset,
+                            payload_len,
+                            total_len,
+                        };
+                        forced.reasm.entry(d.key).or_insert((d.version, 0));
+                        Packet::Data(d)
+                    }
+                };
+                fast.on_packet(now, &pkt);
+                forced.on_packet(now, &pkt);
+                prop_assert_eq!(fast.stats(), forced.stats());
+                prop_assert_eq!(fast.fingerprint(), forced.fingerprint());
+                let replica = |rx: &SstpReceiver| -> Vec<_> {
+                    rx.replica().entries().map(|(&k, e)| (k, *e)).collect()
+                };
+                prop_assert_eq!(replica(&fast), replica(&forced));
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! — never an unbounded queue, never a panic.
 
 use crate::wire::{Packet, WireError, HEADER_OVERHEAD};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -102,7 +102,7 @@ fn decode_frame_at(datagram: &[u8], pos: &mut usize) -> Result<Frame, FrameError
         return Err(FrameError::Truncated);
     };
     *pos += FRAME_OVERHEAD + packet.len();
-    let pkt = Packet::decode(Bytes::copy_from_slice(packet)).map_err(FrameError::Wire)?;
+    let pkt = Packet::decode_slice(packet).map_err(FrameError::Wire)?;
     Ok(Frame { session, pkt })
 }
 

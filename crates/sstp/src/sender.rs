@@ -23,7 +23,8 @@ use ss_sched::{Scheduler, Stride};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// What waits in the hot (foreground) queue.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq)]
+#[cfg_attr(test, derive(PartialOrd, Ord))] // the reference sender's dedup set
 enum HotItem {
     /// (Re)transmission of a record's current value.
     Data(Key),
@@ -48,6 +49,19 @@ pub struct SenderStats {
     pub reports_rx: u64,
     /// Keys NACKed that were already queued or dead (suppressed).
     pub nacks_suppressed: u64,
+}
+
+/// What the sender keeps per key ever published, indexed by `Key.0`:
+/// [`PublisherTable::insert_new`] hands keys out densely from 0, so the
+/// per-update path indexes a `Vec` where it used to search ordered maps.
+#[derive(Clone, Copy, Debug)]
+struct KeySlot {
+    /// The key's namespace leaf (detached once the key is withdrawn).
+    leaf: NodeId,
+    /// The hot-queue class of the key's tag.
+    class: u32,
+    /// A [`HotItem::Data`] for the key waits in `hot[class]`.
+    queued: bool,
 }
 
 /// In-progress fragmentation of one ADU onto one channel.
@@ -100,7 +114,10 @@ pub struct SstpSender {
     /// control class carrying repair responses).
     class_of_tag: BTreeMap<u32, usize>,
     sched_rng: SimRng,
-    queued: BTreeSet<HotItem>,
+    /// One slot per key ever published (12 bytes each, never shrunk).
+    keys: Vec<KeySlot>,
+    /// Dedup of queued repair responses (data dedup is `KeySlot::queued`).
+    queued_summaries: BTreeSet<Path>,
     /// Round-robin snapshot for cold data cycling.
     cycle: Vec<Key>,
     /// Maximum application payload per data packet; ADUs above this are
@@ -144,7 +161,8 @@ impl SstpSender {
             hot_sched,
             class_of_tag: BTreeMap::new(),
             sched_rng: SimRng::new(0x5f3d),
-            queued: BTreeSet::new(),
+            keys: Vec::new(),
+            queued_summaries: BTreeSet::new(),
             cycle: Vec::new(),
             mtu: u32::MAX,
             hot_frag: None,
@@ -224,51 +242,52 @@ impl SstpSender {
     /// Begins fragmenting `key`'s current value; returns the state, or
     /// `None` if the record is dead.
     fn start_frag(&mut self, key: Key) -> Option<FragState> {
-        let rec = self.table.get(key)?;
-        let value = rec.value;
-        let leaf = self.ns.leaf_of(key).expect("live record has a leaf");
-        let mut parent_path = self.ns.path_of(leaf);
-        let slot = parent_path.pop().expect("leaf is not the root");
-        let tag = self.ns.tag(leaf);
+        let value = self.table.get(key)?.value;
+        let leaf = self.keys[key.0 as usize].leaf;
+        let (parent, slot) = self.ns.parent_of(leaf).expect("leaf is not the root");
         Some(FragState {
             key,
             version: value.version,
-            parent_path,
+            parent_path: self.ns.path_of(parent),
             slot,
-            tag,
+            tag: self.ns.tag(leaf),
             offset: 0,
             total: value.payload_len,
         })
     }
 
-    /// Emits the next fragment of `state`, advancing the namespace right
-    /// edge; returns the packet and whether the ADU is now fully sent.
-    /// Returns `None` if the record died or was superseded mid-stream
-    /// (the new version has its own queue entry).
-    fn next_fragment(&mut self, state: &mut FragState) -> Option<(Packet, bool)> {
+    /// Resumes a fragmented ADU; `None` if the record died or was
+    /// superseded mid-stream (the new version has its own queue entry).
+    fn resume_frag(&mut self, state: FragState) -> Option<(Packet, Option<FragState>)> {
         let rec = self.table.get(state.key)?;
-        if rec.value.version != state.version {
-            return None;
-        }
-        let remaining = state.total - state.offset;
-        let len = remaining.min(self.mtu);
-        let end = state.offset + len;
-        self.ns.update_adu(state.key, state.version, u64::from(end));
+        (rec.value.version == state.version).then(|| self.next_fragment(state))
+    }
+
+    /// Emits the next fragment of `state`, advancing the namespace right
+    /// edge; returns the packet and, while the ADU is not fully sent, the
+    /// state to resume from.
+    fn next_fragment(&mut self, mut state: FragState) -> (Packet, Option<FragState>) {
+        let offset = state.offset;
+        let len = (state.total - offset).min(self.mtu);
+        state.offset += len;
+        let leaf = self.keys[state.key.0 as usize].leaf;
+        self.ns
+            .update_leaf(leaf, state.version, u64::from(state.offset));
         let seq = self.bump_seq();
         self.stats.data_tx += 1;
+        let rest = (state.offset < state.total).then(|| state.clone());
         let pkt = Packet::Data(DataPacket {
             seq,
             key: state.key,
             version: state.version,
-            parent_path: state.parent_path.clone(),
+            parent_path: state.parent_path,
             slot: state.slot,
             tag: state.tag,
-            offset: state.offset,
+            offset,
             payload_len: len,
             total_len: state.total,
         });
-        state.offset = end;
-        Some((pkt, end == state.total))
+        (pkt, rest)
     }
 
     /// The namespace root, for building the application's hierarchy.
@@ -307,18 +326,26 @@ impl SstpSender {
         let _ = self.step(SenderEvent::SetClassWeight { tag, weight });
     }
 
-    fn enqueue(&mut self, class: usize, item: HotItem) {
-        if self.muts.no_queue_dedup {
-            // Defect: append unconditionally; a NACK storm now queues the
-            // same key many times and `self_check` sees the multiset
-            // diverge from the dedup set.
-            self.queued.insert(item.clone());
-            self.hot[class].push_back(item);
+    /// Appends to a class queue; the stride backlog flag flips when the
+    /// queue goes empty → non-empty here and back in `apply_next_hot`.
+    fn push_hot(&mut self, class: usize, item: HotItem) {
+        if self.hot[class].is_empty() {
+            self.hot_sched.set_backlogged(class, true);
+        }
+        self.hot[class].push_back(item);
+    }
+
+    /// Queues `key`'s (re)transmission unless one already waits.
+    fn enqueue_data(&mut self, key: Key) {
+        let slot = &mut self.keys[key.0 as usize];
+        // Defect `no_queue_dedup`: append unconditionally; updating a
+        // queued key then queues it twice and `self_check` sees the queues
+        // diverge from the `queued` bits.
+        if std::mem::replace(&mut slot.queued, true) && !self.muts.no_queue_dedup {
             return;
         }
-        if self.queued.insert(item.clone()) {
-            self.hot[class].push_back(item);
-        }
+        let class = slot.class as usize;
+        self.push_hot(class, HotItem::Data(key));
     }
 
     /// Publishes a new record under `parent`; it is queued for immediate
@@ -359,9 +386,15 @@ impl SstpSender {
 
     fn apply_publish(&mut self, now: SimTime, parent: NodeId, tag: MetaTag, len: u32) -> Key {
         let rec = self.table.insert_new(now, len);
-        self.ns.add_adu(parent, rec.key, tag);
-        let class = self.class_for(tag);
-        self.enqueue(class, HotItem::Data(rec.key));
+        let leaf = self.ns.add_adu(parent, rec.key, tag);
+        let class = self.class_for(tag) as u32;
+        assert_eq!(rec.key.0, self.keys.len() as u64, "keys are dense");
+        self.keys.push(KeySlot {
+            leaf,
+            class,
+            queued: false,
+        });
+        self.enqueue_data(rec.key);
         rec.key
     }
 
@@ -375,9 +408,9 @@ impl SstpSender {
     fn apply_update(&mut self, key: Key) {
         let rec = self.table.update(key);
         // The new version has 0 bytes on the wire until retransmitted.
-        self.ns.update_adu(key, rec.value.version, 0);
-        let class = self.class_of_key(key);
-        self.enqueue(class, HotItem::Data(key));
+        self.ns
+            .update_leaf(self.keys[key.0 as usize].leaf, rec.value.version, 0);
+        self.enqueue_data(key);
     }
 
     /// Withdraws a record: its lifetime ended. Receivers learn via
@@ -398,16 +431,6 @@ impl SstpSender {
         self.ns.remove_adu(key);
         // Any queued transmission is dropped lazily at pop time.
         true
-    }
-
-    /// The class of a live key (via its namespace tag).
-    fn class_of_key(&mut self, key: Key) -> usize {
-        let tag = self
-            .ns
-            .leaf_of(key)
-            .map(|leaf| self.ns.tag(leaf))
-            .unwrap_or_default();
-        self.class_for(tag)
     }
 
     /// Processes a packet arriving on the feedback channel. Returns the
@@ -434,15 +457,15 @@ impl SstpSender {
                     return promoted;
                 }
                 for &key in &n.keys {
-                    if self.table.get(key).is_some() {
-                        let item = HotItem::Data(key);
-                        if self.queued.contains(&item) {
-                            self.stats.nacks_suppressed += 1;
-                        } else {
-                            let class = self.class_of_key(key);
-                            self.enqueue(class, item);
-                            promoted.push(key);
-                        }
+                    // Never-published keys have no slot; `key.0` is wire
+                    // input, so the index is checked.
+                    let unqueued = usize::try_from(key.0)
+                        .ok()
+                        .and_then(|k| self.keys.get(k))
+                        .is_some_and(|slot| !slot.queued);
+                    if unqueued && self.table.get(key).is_some() {
+                        self.enqueue_data(key);
+                        promoted.push(key);
                     } else {
                         self.stats.nacks_suppressed += 1;
                     }
@@ -452,9 +475,9 @@ impl SstpSender {
                 self.stats.queries_rx += 1;
                 // Only answer for nodes that exist and are interior.
                 if let Some(node) = self.ns.node_at(&q.path) {
-                    if !self.ns.is_leaf(node) {
+                    if !self.ns.is_leaf(node) && self.queued_summaries.insert(q.path.clone()) {
                         // Repair responses ride the control class (0).
-                        self.enqueue(0, HotItem::Summary(q.path.clone()));
+                        self.push_hot(0, HotItem::Summary(q.path.clone()));
                     }
                 }
             }
@@ -485,42 +508,34 @@ impl SstpSender {
 
     fn apply_next_hot(&mut self) -> Option<Packet> {
         // Continue an in-progress fragmented ADU first.
-        if let Some(mut state) = self.hot_frag.take() {
-            if let Some((pkt, done)) = self.next_fragment(&mut state) {
-                if !done {
-                    self.hot_frag = Some(state);
-                }
+        if let Some(state) = self.hot_frag.take() {
+            if let Some((pkt, rest)) = self.resume_frag(state) {
+                self.hot_frag = rest;
                 return Some(pkt);
             }
         }
         loop {
-            // Refresh backlog flags and let the stride scheduler pick the
-            // class with the next slot.
-            for c in 0..self.hot.len() {
-                self.hot_sched.set_backlogged(c, !self.hot[c].is_empty());
-            }
+            // The stride scheduler picks the class with the next slot.
             let class = self.hot_sched.pick(&mut self.sched_rng)?;
-            let Some(item) = self.hot[class].pop_front() else {
-                // Stale backlog flag (defensive); mark idle and retry.
+            let item = self.hot[class]
+                .pop_front()
+                .expect("a backlogged class has an item queued");
+            if self.hot[class].is_empty() {
                 self.hot_sched.set_backlogged(class, false);
-                continue;
-            };
+            }
             self.hot_sched.charge(class, 1);
-            self.queued.remove(&item);
             match item {
                 HotItem::Data(key) => {
-                    let Some(mut state) = self.start_frag(key) else {
+                    self.keys[key.0 as usize].queued = false;
+                    let Some(state) = self.start_frag(key) else {
                         continue; // withdrawn while queued
                     };
-                    let Some((pkt, done)) = self.next_fragment(&mut state) else {
-                        continue;
-                    };
-                    if !done {
-                        self.hot_frag = Some(state);
-                    }
+                    let (pkt, rest) = self.next_fragment(state);
+                    self.hot_frag = rest;
                     return Some(pkt);
                 }
                 HotItem::Summary(path) => {
+                    self.queued_summaries.remove(&path);
                     let Some(node) = self.ns.node_at(&path) else {
                         continue; // subtree vanished while queued
                     };
@@ -559,11 +574,9 @@ impl SstpSender {
     }
 
     fn apply_next_cycle(&mut self) -> Option<Packet> {
-        if let Some(mut state) = self.cycle_frag.take() {
-            if let Some((pkt, done)) = self.next_fragment(&mut state) {
-                if !done {
-                    self.cycle_frag = Some(state);
-                }
+        if let Some(state) = self.cycle_frag.take() {
+            if let Some((pkt, rest)) = self.resume_frag(state) {
+                self.cycle_frag = rest;
                 return Some(pkt);
             }
         }
@@ -573,20 +586,13 @@ impl SstpSender {
                 // key order (lint rule D002 guarantees it stays ordered).
                 self.cycle = self.table.live().map(|r| r.key).collect();
                 self.cycle.reverse(); // pop() serves in ascending order
-                if self.cycle.is_empty() {
-                    return None;
-                }
             }
-            let key = self.cycle.pop().expect("nonempty cycle");
-            let Some(mut state) = self.start_frag(key) else {
+            let key = self.cycle.pop()?;
+            let Some(state) = self.start_frag(key) else {
                 continue; // withdrawn since the cycle snapshot
             };
-            let Some((pkt, done)) = self.next_fragment(&mut state) else {
-                continue;
-            };
-            if !done {
-                self.cycle_frag = Some(state);
-            }
+            let (pkt, rest) = self.next_fragment(state);
+            self.cycle_frag = rest;
             return Some(pkt);
         }
     }
@@ -693,25 +699,36 @@ impl SstpSender {
     }
 
     /// Checks the machine's internal representation invariants; the
-    /// explorer calls this after every step. The hot queues and the
-    /// dedup set must describe exactly the same multiset, and every
-    /// class index must be in range.
+    /// explorer calls this after every step. Each queued item must consume
+    /// its own dedup mark (a key's `queued` bit, a summary's set entry) and
+    /// leave none over; a class is flagged backlogged exactly while its
+    /// queue is non-empty; every class index must be in range.
     pub fn self_check(&self) -> Result<(), MachineError> {
-        let mut queued_items = 0usize;
+        let mut bits: Vec<bool> = self.keys.iter().map(|slot| slot.queued).collect();
+        let mut paths = self.queued_summaries.clone();
         for (class, q) in self.hot.iter().enumerate() {
             for item in q {
-                queued_items += 1;
-                if !self.queued.contains(item) {
+                let marked = match item {
+                    HotItem::Data(key) => std::mem::take(&mut bits[key.0 as usize]),
+                    HotItem::Summary(path) => paths.remove(path),
+                };
+                if !marked {
                     return Err(format!(
-                        "hot class {class} holds an item missing from the dedup set: {item:?}"
+                        "hot class {class} holds an item the dedup state does not mark: {item:?}"
                     ));
                 }
             }
+            if self.hot_sched.is_backlogged(class) == q.is_empty() {
+                return Err(format!(
+                    "hot class {class} holds {} items but its backlog flag says otherwise",
+                    q.len()
+                ));
+            }
         }
-        if queued_items != self.queued.len() {
+        let unqueued = bits.iter().filter(|&&b| b).count() + paths.len();
+        if unqueued != 0 {
             return Err(format!(
-                "hot queues hold {queued_items} items but the dedup set has {}",
-                self.queued.len()
+                "the dedup state marks {unqueued} items that no hot queue holds"
             ));
         }
         for (&tag, &class) in &self.class_of_tag {
@@ -759,9 +776,395 @@ fn hash_frag(h: &mut StateHasher, frag: Option<&FragState>) {
 mod tests {
     use super::*;
     use crate::wire::{NackPacket, ReceiverReportPacket, RepairQueryPacket};
+    use proptest::prelude::*;
 
     fn sender() -> SstpSender {
         SstpSender::new(HashAlgorithm::Fnv64, 1000)
+    }
+
+    /// The sender the dense key table replaced, kept as the oracle: one
+    /// `BTreeSet<HotItem>` dedups data and summaries alike, every per-key
+    /// fact is looked up (`leaf_of`, the leaf's tag, `class_of_tag`) when
+    /// it is needed, and every class's backlog flag is rewritten before
+    /// each pick.
+    struct RefSender {
+        table: PublisherTable,
+        ns: Namespace,
+        hot: Vec<VecDeque<HotItem>>,
+        hot_sched: Stride,
+        class_of_tag: BTreeMap<u32, usize>,
+        sched_rng: SimRng,
+        queued: BTreeSet<HotItem>,
+        cycle: Vec<Key>,
+        mtu: u32,
+        hot_frag: Option<FragState>,
+        cycle_frag: Option<FragState>,
+        seq: u64,
+        stats: SenderStats,
+    }
+
+    impl RefSender {
+        fn new(mtu: u32) -> Self {
+            let mut hot_sched = Stride::new();
+            hot_sched.set_weight(0, 1);
+            RefSender {
+                table: PublisherTable::new(),
+                ns: Namespace::new(HashAlgorithm::Fnv64),
+                hot: vec![VecDeque::new()],
+                hot_sched,
+                class_of_tag: BTreeMap::new(),
+                sched_rng: SimRng::new(0x5f3d),
+                queued: BTreeSet::new(),
+                cycle: Vec::new(),
+                mtu,
+                hot_frag: None,
+                cycle_frag: None,
+                seq: 0,
+                stats: SenderStats::default(),
+            }
+        }
+
+        fn class_for(&mut self, tag: MetaTag) -> usize {
+            if let Some(&c) = self.class_of_tag.get(&tag.0) {
+                return c;
+            }
+            let c = self.hot.len();
+            self.hot.push(VecDeque::new());
+            self.hot_sched.set_weight(c, 1);
+            self.class_of_tag.insert(tag.0, c);
+            c
+        }
+
+        fn class_of_key(&mut self, key: Key) -> usize {
+            let leaf = self.ns.leaf_of(key).expect("live key");
+            self.class_for(self.ns.tag(leaf))
+        }
+
+        fn enqueue(&mut self, class: usize, item: HotItem) {
+            if self.queued.insert(item.clone()) {
+                self.hot[class].push_back(item);
+            }
+        }
+
+        fn set_class_weight(&mut self, tag: MetaTag, weight: u64) {
+            let c = self.class_for(tag);
+            self.hot_sched.set_weight(c, weight);
+        }
+
+        fn publish(&mut self, parent: NodeId, tag: MetaTag, len: u32) -> Key {
+            let rec = self.table.insert_new(SimTime::ZERO, len);
+            self.ns.add_adu(parent, rec.key, tag);
+            let class = self.class_for(tag);
+            self.enqueue(class, HotItem::Data(rec.key));
+            rec.key
+        }
+
+        fn update(&mut self, key: Key) {
+            let rec = self.table.update(key);
+            self.ns.update_adu(key, rec.value.version, 0);
+            let class = self.class_of_key(key);
+            self.enqueue(class, HotItem::Data(key));
+        }
+
+        fn withdraw(&mut self, key: Key) -> bool {
+            self.table.delete(key).is_some() && self.ns.remove_adu(key)
+        }
+
+        fn on_packet(&mut self, pkt: &Packet) -> Vec<Key> {
+            let mut promoted = Vec::new();
+            match pkt {
+                Packet::Nack(n) => {
+                    self.stats.nacks_rx += 1;
+                    for &key in &n.keys {
+                        let item = HotItem::Data(key);
+                        if self.table.get(key).is_none() || self.queued.contains(&item) {
+                            self.stats.nacks_suppressed += 1;
+                        } else {
+                            let class = self.class_of_key(key);
+                            self.enqueue(class, item);
+                            promoted.push(key);
+                        }
+                    }
+                }
+                Packet::RepairQuery(q) => {
+                    self.stats.queries_rx += 1;
+                    if self
+                        .ns
+                        .node_at(&q.path)
+                        .is_some_and(|n| !self.ns.is_leaf(n))
+                    {
+                        self.enqueue(0, HotItem::Summary(q.path.clone()));
+                    }
+                }
+                _ => unreachable!("the scripts feed NACKs and queries only"),
+            }
+            promoted
+        }
+
+        fn start_frag(&mut self, key: Key) -> Option<FragState> {
+            let value = self.table.get(key)?.value;
+            let leaf = self.ns.leaf_of(key).expect("live record has a leaf");
+            let mut parent_path = self.ns.path_of(leaf);
+            let slot = parent_path.pop().expect("leaf is not the root");
+            Some(FragState {
+                key,
+                version: value.version,
+                parent_path,
+                slot,
+                tag: self.ns.tag(leaf),
+                offset: 0,
+                total: value.payload_len,
+            })
+        }
+
+        fn next_fragment(&mut self, state: &mut FragState) -> Option<(Packet, bool)> {
+            let rec = self.table.get(state.key)?;
+            if rec.value.version != state.version {
+                return None;
+            }
+            let len = (state.total - state.offset).min(self.mtu);
+            let end = state.offset + len;
+            self.ns.update_adu(state.key, state.version, u64::from(end));
+            self.seq += 1;
+            self.stats.data_tx += 1;
+            let pkt = Packet::Data(DataPacket {
+                seq: self.seq - 1,
+                key: state.key,
+                version: state.version,
+                parent_path: state.parent_path.clone(),
+                slot: state.slot,
+                tag: state.tag,
+                offset: state.offset,
+                payload_len: len,
+                total_len: state.total,
+            });
+            state.offset = end;
+            Some((pkt, end == state.total))
+        }
+
+        fn next_hot_packet(&mut self) -> Option<Packet> {
+            if let Some(mut state) = self.hot_frag.take() {
+                if let Some((pkt, done)) = self.next_fragment(&mut state) {
+                    self.hot_frag = (!done).then_some(state);
+                    return Some(pkt);
+                }
+            }
+            loop {
+                for c in 0..self.hot.len() {
+                    self.hot_sched.set_backlogged(c, !self.hot[c].is_empty());
+                }
+                let class = self.hot_sched.pick(&mut self.sched_rng)?;
+                let item = self.hot[class].pop_front().expect("flags just refreshed");
+                self.hot_sched.charge(class, 1);
+                self.queued.remove(&item);
+                match item {
+                    HotItem::Data(key) => {
+                        let Some(mut state) = self.start_frag(key) else {
+                            continue;
+                        };
+                        let (pkt, done) = self.next_fragment(&mut state).expect("just started");
+                        self.hot_frag = (!done).then_some(state);
+                        return Some(pkt);
+                    }
+                    HotItem::Summary(path) => {
+                        let Some(node) = self.ns.node_at(&path) else {
+                            continue;
+                        };
+                        if self.ns.is_leaf(node) {
+                            continue;
+                        }
+                        let entries = self.ns.summary_entries(node);
+                        self.seq += 1;
+                        self.stats.node_summaries_tx += 1;
+                        return Some(Packet::NodeSummary(NodeSummaryPacket {
+                            seq: self.seq - 1,
+                            path,
+                            entries: entries.into_iter().map(Into::into).collect(),
+                        }));
+                    }
+                }
+            }
+        }
+
+        fn next_cycle_packet(&mut self) -> Option<Packet> {
+            if let Some(mut state) = self.cycle_frag.take() {
+                if let Some((pkt, done)) = self.next_fragment(&mut state) {
+                    self.cycle_frag = (!done).then_some(state);
+                    return Some(pkt);
+                }
+            }
+            loop {
+                if self.cycle.is_empty() {
+                    self.cycle = self.table.live().map(|r| r.key).collect();
+                    self.cycle.reverse();
+                    if self.cycle.is_empty() {
+                        return None;
+                    }
+                }
+                let key = self.cycle.pop().expect("nonempty cycle");
+                let Some(mut state) = self.start_frag(key) else {
+                    continue;
+                };
+                let (pkt, done) = self.next_fragment(&mut state).expect("just started");
+                self.cycle_frag = (!done).then_some(state);
+                return Some(pkt);
+            }
+        }
+
+        fn summary_packet(&mut self) -> Packet {
+            self.seq += 1;
+            self.stats.root_summaries_tx += 1;
+            Packet::RootSummary(RootSummaryPacket {
+                seq: self.seq - 1,
+                digest: self.ns.root_digest(),
+                live_adus: self.ns.live_adus() as u32,
+            })
+        }
+
+        /// Field for field what `SstpSender::fingerprint` hashes.
+        fn fingerprint(&mut self) -> u64 {
+            let mut h = StateHasher::new();
+            h.write_u64(self.table.live_count() as u64);
+            for rec in self.table.live() {
+                h.write_u64(rec.key.0);
+                h.write_u64(rec.value.version);
+                h.write_u64(u64::from(rec.value.payload_len));
+            }
+            h.write_bytes(self.ns.root_digest().as_bytes());
+            h.write_u64(self.hot.len() as u64);
+            for q in &self.hot {
+                h.write_u64(q.len() as u64);
+                for item in q {
+                    hash_hot_item(&mut h, item);
+                }
+            }
+            for (&tag, &class) in &self.class_of_tag {
+                h.write_u64(u64::from(tag));
+                h.write_u64(class as u64);
+            }
+            h.write_u64(self.cycle.len() as u64);
+            for key in &self.cycle {
+                h.write_u64(key.0);
+            }
+            hash_frag(&mut h, self.hot_frag.as_ref());
+            hash_frag(&mut h, self.cycle_frag.as_ref());
+            h.finish()
+        }
+
+        /// The old `self_check`: queues and dedup set are one multiset.
+        fn self_check(&self) -> bool {
+            let items: Vec<&HotItem> = self.hot.iter().flatten().collect();
+            items.len() == self.queued.len() && items.iter().all(|i| self.queued.contains(i))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense key table against the `BTreeSet`-dedup reference over
+        /// random scripts — publishes under the root and under branches,
+        /// with and without fragmentation, updates and withdrawals of
+        /// queued and unqueued keys, NACKs naming live, dead, queued and
+        /// never-published keys, repair queries for interior, leaf and
+        /// missing paths, class weights 0..=3, hot, cycle and summary
+        /// polls: every call returns the same packets and promotions, and
+        /// `stats`, `fingerprint`, `hot_backlog` and a clean `self_check`
+        /// agree after each.
+        #[test]
+        fn dense_key_table_matches_reference_sender(
+            ops in prop::collection::vec((0u8..16, any::<u8>(), any::<u8>(), any::<u8>()), 1..160),
+            fragmenting in any::<bool>(),
+        ) {
+            const PATHS: [&[u16]; 6] = [&[], &[0], &[1], &[0, 0], &[2], &[7, 7]];
+            let mtu = if fragmenting { 400 } else { u32::MAX };
+            let mut tx = SstpSender::new(HashAlgorithm::Fnv64, 1000).with_mtu(mtu);
+            let mut oracle = RefSender::new(mtu);
+            let mut branches = vec![tx.root()];
+            let mut keys: Vec<Key> = Vec::new();
+            for (op, a, b, c) in ops {
+                let tag = MetaTag(u32::from(b % 4));
+                match op {
+                    0 if branches.len() < 5 => {
+                        let parent = branches[a as usize % branches.len()];
+                        let node = tx.add_branch(parent, tag);
+                        prop_assert_eq!(node, oracle.ns.add_interior(parent, tag));
+                        branches.push(node);
+                    }
+                    0..=2 => {
+                        let parent = branches[a as usize % branches.len()];
+                        let len = u32::from(c) * 5;
+                        let key = tx.publish_sized(SimTime::ZERO, parent, tag, len);
+                        prop_assert_eq!(key, oracle.publish(parent, tag, len));
+                        keys.push(key);
+                    }
+                    3..=5 if !keys.is_empty() => {
+                        let key = keys[a as usize % keys.len()];
+                        if tx.table().get(key).is_some() {
+                            tx.update(key);
+                            oracle.update(key);
+                        }
+                    }
+                    6 if !keys.is_empty() => {
+                        let key = keys[a as usize % keys.len()];
+                        prop_assert_eq!(tx.withdraw(key), oracle.withdraw(key));
+                    }
+                    7 | 8 => {
+                        // Keys one past the last published are unknown.
+                        let pick = |x: u8| Key(u64::from(x) % (keys.len() as u64 + 2));
+                        let nack = Packet::Nack(NackPacket { keys: vec![pick(a), pick(b), pick(c), pick(a)] });
+                        prop_assert_eq!(tx.on_packet(&nack), oracle.on_packet(&nack));
+                    }
+                    9 => {
+                        let path = PATHS[a as usize % PATHS.len()].to_vec();
+                        let query = Packet::RepairQuery(RepairQueryPacket { path });
+                        prop_assert_eq!(tx.on_packet(&query), oracle.on_packet(&query));
+                    }
+                    10 => {
+                        tx.set_class_weight(tag, u64::from(c % 4));
+                        oracle.set_class_weight(tag, u64::from(c % 4));
+                    }
+                    11 => prop_assert_eq!(tx.next_cycle_packet(), oracle.next_cycle_packet()),
+                    12 => prop_assert_eq!(tx.summary_packet(), oracle.summary_packet()),
+                    _ => prop_assert_eq!(tx.next_hot_packet(), oracle.next_hot_packet()),
+                }
+                prop_assert_eq!(tx.stats(), oracle.stats);
+                prop_assert_eq!(tx.fingerprint(), oracle.fingerprint());
+                prop_assert_eq!(tx.hot_backlog(), oracle.hot.iter().map(VecDeque::len).sum::<usize>());
+                prop_assert_eq!(tx.self_check(), Ok(()));
+                prop_assert!(oracle.self_check());
+            }
+            // Drain: the two serve the backlog in the same order to the end.
+            for tag in 0..4 {
+                tx.set_class_weight(MetaTag(tag), 1);
+                oracle.set_class_weight(MetaTag(tag), 1);
+            }
+            loop {
+                let pkt = tx.next_hot_packet();
+                prop_assert_eq!(&pkt, &oracle.next_hot_packet());
+                if pkt.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(tx.fingerprint(), oracle.fingerprint());
+        }
+    }
+
+    /// `no_queue_dedup` must stay visible to `self_check`: updating a
+    /// queued key queues it twice, and the second copy outlives the bit.
+    #[test]
+    fn self_check_catches_a_double_queued_key() {
+        let mut s = sender().with_mutations(TxMutations {
+            no_queue_dedup: true,
+            ..TxMutations::default()
+        });
+        let root = s.root();
+        let k = s.publish(SimTime::ZERO, root, MetaTag(0));
+        assert_eq!(s.self_check(), Ok(()));
+        s.update(k);
+        assert_eq!(s.hot_backlog(), 2);
+        assert!(s.self_check().is_err(), "two queue entries, one bit");
+        let _ = s.next_hot_packet();
+        assert!(s.self_check().is_err(), "one queue entry, bit cleared");
     }
 
     #[test]

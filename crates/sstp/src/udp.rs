@@ -62,9 +62,7 @@ fn recv_packet(
     buf: &mut [u8],
 ) -> io::Result<Option<Result<Packet, WireError>>> {
     match socket.recv_from(buf) {
-        Ok((n, _peer)) => Ok(Some(Packet::decode(bytes::Bytes::copy_from_slice(
-            &buf[..n],
-        )))),
+        Ok((n, _peer)) => Ok(Some(Packet::decode_slice(&buf[..n]))),
         Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             Ok(None)
         }

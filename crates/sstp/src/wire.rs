@@ -72,9 +72,10 @@ pub struct DataPacket {
 }
 
 impl DataPacket {
-    /// The byte just past this fragment: `offset + payload_len`.
+    /// The byte just past this fragment: `offset + payload_len`
+    /// (saturating: both fields are wire input).
     pub fn end(&self) -> u32 {
-        self.offset + self.payload_len
+        self.offset.saturating_add(self.payload_len)
     }
 
     /// True when this single packet carries the whole ADU.
@@ -230,7 +231,7 @@ fn digest_len(d: &Digest) -> usize {
     1 + d.len()
 }
 
-fn get_path(buf: &mut Bytes) -> Result<Path, WireError> {
+fn get_path<B: Buf>(buf: &mut B) -> Result<Path, WireError> {
     if buf.remaining() < 2 {
         return Err(WireError::Truncated);
     }
@@ -246,7 +247,7 @@ fn put_digest(buf: &mut BytesMut, d: &Digest) {
     buf.put_slice(d.as_bytes());
 }
 
-fn get_digest(buf: &mut Bytes) -> Result<Digest, WireError> {
+fn get_digest<B: Buf>(buf: &mut B) -> Result<Digest, WireError> {
     if buf.remaining() < 1 {
         return Err(WireError::Truncated);
     }
@@ -347,7 +348,16 @@ impl Packet {
 
     /// Decodes one packet from `buf`.
     pub fn decode(mut buf: Bytes) -> Result<Packet, WireError> {
-        let b = &mut buf;
+        Packet::decode_from(&mut buf)
+    }
+
+    /// Decodes one packet straight from a byte slice — a frame still
+    /// sitting in the receive buffer — copying nothing but the fields.
+    pub fn decode_slice(mut buf: &[u8]) -> Result<Packet, WireError> {
+        Packet::decode_from(&mut buf)
+    }
+
+    fn decode_from<B: Buf>(b: &mut B) -> Result<Packet, WireError> {
         macro_rules! need {
             ($n:expr) => {
                 if b.remaining() < $n {

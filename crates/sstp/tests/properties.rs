@@ -15,9 +15,12 @@
 use bytes::BytesMut;
 use proptest::prelude::*;
 use softstate::Key;
+use ss_netsim::{SimRng, SimTime};
 use sstp::digest::{Digest, HashAlgorithm};
 use sstp::namespace::{MetaTag, Namespace};
+use sstp::receiver::{ReceiverConfig, SstpReceiver};
 use sstp::runtime::mux::{append_frame, decode_frames, FrameError, FRAME_OVERHEAD};
+use sstp::sender::SstpSender;
 use sstp::wire::{
     DataPacket, NackPacket, NodeSummaryPacket, Packet, ReceiverReportPacket, RepairQueryPacket,
     RootSummaryPacket, WireChildEntry,
@@ -230,13 +233,67 @@ fn apply_ops(ns: &mut Namespace, ops: &[Op]) {
     }
 }
 
+/// Hands `pkt` to a fresh receiver and to a sender holding a branch and a
+/// few records: whatever the decoder lets through, the endpoints take
+/// without panicking.
+fn endpoints_accept(pkt: &Packet) {
+    let mut rx = SstpReceiver::new(
+        ReceiverConfig::unicast(0, HashAlgorithm::Fnv64),
+        SimRng::new(1),
+    );
+    rx.on_packet(SimTime::from_secs(1), pkt);
+    let _ = rx.poll_feedback(SimTime::from_secs(2));
+    let mut tx = SstpSender::new(HashAlgorithm::Fnv64, 100);
+    let branch = tx.add_branch(tx.root(), MetaTag(1));
+    for parent in [tx.root(), branch, branch] {
+        tx.publish(SimTime::ZERO, parent, MetaTag(1));
+    }
+    tx.on_packet(pkt);
+    while tx.next_hot_packet().is_some() {}
+}
+
 proptest! {
     /// The decoder never panics on arbitrary bytes — it either parses a
-    /// packet or returns an error. (The receiver feeds raw datagrams
-    /// straight into it in `sstp::udp`.)
+    /// packet or returns an error — reading a slice or a `Bytes` alike,
+    /// and what it parses the endpoints accept. (The runtime mux decodes
+    /// received frames in place; `sstp::udp` decodes whole datagrams.)
     #[test]
-    fn decoder_is_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Packet::decode(bytes::Bytes::from(bytes));
+    fn decoder_is_total_on_garbage(
+        mut bytes in prop::collection::vec(any::<u8>(), 0..512),
+        tag in 0u8..12,
+    ) {
+        // Half the cases start with a valid packet tag, or next to none
+        // would get past the first byte.
+        if let (Some(first), 1..=6) = (bytes.first_mut(), tag) {
+            *first = tag;
+        }
+        let decoded = Packet::decode_slice(&bytes);
+        prop_assert_eq!(&decoded, &Packet::decode(bytes::Bytes::copy_from_slice(&bytes)));
+        if let Ok(pkt) = decoded {
+            endpoints_accept(&pkt);
+        }
+    }
+
+    /// A valid encoding with a few bytes overwritten: it decodes the same
+    /// from a slice and from `Bytes`, and if to a packet — usually one of
+    /// the right shape with wrong fields — the endpoints accept it.
+    #[test]
+    fn corrupted_packets_are_accepted_or_rejected_never_fatal(
+        pkt in arb_packet(),
+        hits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let mut buf = BytesMut::new();
+        pkt.encode(&mut buf);
+        let mut bytes = buf.to_vec();
+        for (at, byte) in hits {
+            let at = at % bytes.len();
+            bytes[at] = byte;
+        }
+        let decoded = Packet::decode_slice(&bytes);
+        prop_assert_eq!(&decoded, &Packet::decode(bytes::Bytes::copy_from_slice(&bytes)));
+        if let Ok(pkt) = decoded {
+            endpoints_accept(&pkt);
+        }
     }
 
     /// Decoding a valid encoding with trailing garbage still yields the
@@ -260,6 +317,7 @@ proptest! {
         let bytes = buf.freeze();
         let decoded = Packet::decode(bytes.clone()).expect("decode");
         prop_assert_eq!(&decoded, &pkt);
+        prop_assert_eq!(Packet::decode_slice(&bytes), Ok(decoded));
         // Prefix robustness: decoding a truncated buffer must error or
         // yield a *different* packet, never panic.
         for cut in 0..bytes.len() {
@@ -456,4 +514,80 @@ proptest! {
             prop_assert_eq!(ns.root_digest().len(), algo.digest_len());
         }
     }
+}
+
+/// A sender with `keys` records under `parent_of(tx)`, hot queue drained,
+/// and one warm-up round so every queue has its steady-state capacity.
+fn warmed_sender(
+    keys: usize,
+    parent_of: impl Fn(&mut SstpSender) -> sstp::namespace::NodeId,
+) -> (SstpSender, Vec<Key>) {
+    let mut tx = SstpSender::new(HashAlgorithm::Fnv64, 64);
+    let parent = parent_of(&mut tx);
+    let keys: Vec<Key> = (0..keys)
+        .map(|k| tx.publish(SimTime::ZERO, parent, MetaTag(k as u32 % 4)))
+        .collect();
+    while tx.next_hot_packet().is_some() {}
+    for &key in &keys {
+        tx.update(key);
+    }
+    while tx.next_hot_packet().is_some() {}
+    (tx, keys)
+}
+
+/// The per-update path of a root-level key touches no heap: the version
+/// bump, the side-table lookup, the queue push and pop, and the packet
+/// (whose `parent_path` is an empty `Vec`).
+#[test]
+fn update_and_hot_packet_of_root_level_keys_allocate_nothing() {
+    let (mut tx, keys) = warmed_sender(64, |tx| tx.root());
+    for &key in &keys {
+        let allocs = allocations_during(|| {
+            tx.update(key);
+            std::hint::black_box(tx.next_hot_packet());
+        });
+        assert_eq!(allocs, 0, "update -> next_hot_packet of {key:?} allocated");
+    }
+    // The empty poll that ends a drain allocates nothing either.
+    assert_eq!(
+        allocations_during(|| assert!(tx.next_hot_packet().is_none())),
+        0
+    );
+}
+
+/// A key under a branch costs exactly its packet's `parent_path`: built
+/// once, moved into the packet, never cloned.
+#[test]
+fn hot_packet_of_a_branch_level_key_allocates_its_parent_path_only() {
+    let (mut tx, keys) = warmed_sender(16, |tx| tx.add_branch(tx.root(), MetaTag(9)));
+    for &key in &keys {
+        let mut pkt = None;
+        let allocs = allocations_during(|| {
+            tx.update(key);
+            pkt = tx.next_hot_packet();
+        });
+        assert!(matches!(pkt, Some(Packet::Data(d)) if d.parent_path == [0]));
+        assert_eq!(allocs, 1, "update -> next_hot_packet of {key:?}");
+    }
+}
+
+/// Walking a datagram of root-level data frames decodes each in place:
+/// no per-frame buffer, and an empty `parent_path` needs no heap.
+#[test]
+fn decoding_a_datagram_of_root_level_data_frames_allocates_nothing() {
+    let (mut tx, keys) = warmed_sender(12, |tx| tx.root());
+    let mut datagram = BytesMut::new();
+    for (session, &key) in keys.iter().enumerate() {
+        tx.update(key);
+        let pkt = tx.next_hot_packet().expect("just updated");
+        assert!(append_frame(session as u32, &pkt, &mut datagram));
+    }
+    let mut frames = 0;
+    let allocs = allocations_during(|| {
+        for frame in decode_frames(&datagram) {
+            std::hint::black_box(frame.expect("valid frame"));
+            frames += 1;
+        }
+    });
+    assert_eq!((frames, allocs), (keys.len(), 0));
 }
