@@ -11,10 +11,12 @@
 //! record is named by its [`Handle`], which rides inside event payloads
 //! and protocol queues, and a stale handle (the record died, the slot
 //! was recycled) is detected by the generation check instead of a map
-//! lookup. Each slot also carries a protocol-specific payload `X` — the
-//! per-record flags the variants used to keep in side tables (`doomed`
-//! sets, `loc` maps, NACK dedup) now live inline with the record.
+//! lookup. The same slot carries the engine's per-record protocol state
+//! (queue location, `doomed`, NACK dedup — the `pub(super)` fields of
+//! [`Job`]), so it is reclaimed with the record and there are no side
+//! tables to chase when one dies.
 
+use super::machine::Loc;
 use crate::consistency::{ConsistencyAverages, ConsistencyMeter};
 use ss_netsim::metrics::{
     AverageId, CounterId, EventKind, EventLog, HistogramId, MetricsRegistry, MetricsSnapshot,
@@ -23,10 +25,10 @@ use ss_netsim::metrics::{
 use ss_netsim::trace::{Actor, TraceId, TraceKind, Tracer};
 use ss_netsim::{Arena, DurationHistogram, Handle, SimDuration, SimTime};
 
-/// Per-record simulation state, stored in one arena slot together with
-/// the protocol's own payload `X`.
+/// One live record: the measurement core's bookkeeping (private to this
+/// module) and the engine's protocol state, in one arena slot.
 #[derive(Clone, Copy, Debug)]
-struct Job<X> {
+pub(crate) struct Job {
     /// External record id — what the event log, tracer, and workload
     /// speak; stable for the record's whole life and never recycled.
     id: u64,
@@ -41,14 +43,40 @@ struct Job<X> {
     /// This record's position in the dense `live` vector (for O(1)
     /// swap-removal on death).
     live_idx: u32,
-    /// Protocol-specific per-record state.
-    extra: X,
+    /// Sender-side location (for promotion, lifetime-death deferral and
+    /// lazy queue cleanup). A new record starts in the hot queue.
+    pub(super) loc: Loc,
+    /// Lifetime ended mid-service; the record dies at the completion
+    /// instead of vanishing off the wire.
+    pub(super) doomed: bool,
+    /// A NACK is queued or in flight (receiver-side dedup).
+    pub(super) nack_pending: bool,
+    /// Trace id of the pending NACK, so a later promotion can parent
+    /// under the NACK that caused it ([`TraceId::NONE`] when absent).
+    pub(super) nack_id: TraceId,
+    /// Trace id of the latest promotion, so the promoted hot
+    /// retransmission parents under it (NACK → promote → retransmit).
+    pub(super) promoted: TraceId,
+}
+
+impl Job {
+    /// The record's external id.
+    #[inline]
+    pub(super) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Whether the receiver currently holds this record's value.
+    #[inline]
+    pub(super) fn is_consistent(&self) -> bool {
+        self.consistent
+    }
 }
 
 /// The live set plus all §2.1 instrumentation.
 #[derive(Clone, Debug)]
-pub(crate) struct LiveJobs<X = ()> {
-    jobs: Arena<Job<X>>,
+pub(crate) struct LiveJobs {
+    jobs: Arena<Job>,
     /// Dense list of live handles for O(1) uniform sampling (update
     /// workloads pick a random live record to supersede). Maintained
     /// push-back / swap-remove, exactly like the id vector it replaced,
@@ -78,7 +106,7 @@ pub(crate) struct LiveJobs<X = ()> {
     sk_aoi: SketchId,
 }
 
-impl<X> LiveJobs<X> {
+impl LiveJobs {
     /// Starts the measurement core at `start`. `series_spacing` enables
     /// the legacy `c(t)` series (and sets the `consistency.c_t` window
     /// width); `event_capacity` bounds the typed event log and
@@ -157,10 +185,10 @@ impl<X> LiveJobs<X> {
         self.registry.record_sample(self.a_consistency, now, c);
     }
 
-    /// A new (inconsistent) record enters the live set, carrying the
+    /// A new (inconsistent) record enters the live set with the
     /// protocol's initial per-record state. Returns the handle that
     /// names it until death.
-    pub(crate) fn arrive(&mut self, now: SimTime, id: u64, extra: X) -> Handle {
+    pub(crate) fn arrive(&mut self, now: SimTime, id: u64) -> Handle {
         let live_idx = u32::try_from(self.live.len()).expect("live set exceeds u32");
         let h = self.jobs.insert(Job {
             id,
@@ -168,7 +196,11 @@ impl<X> LiveJobs<X> {
             stale_since: now,
             consistent: false,
             live_idx,
-            extra,
+            loc: Loc::Hot,
+            doomed: false,
+            nack_pending: false,
+            nack_id: TraceId::NONE,
+            promoted: TraceId::NONE,
         });
         self.live.push(h);
         self.registry.inc(self.c_arrivals);
@@ -294,46 +326,25 @@ impl<X> LiveJobs<X> {
         }
     }
 
-    /// Whether `h` is currently consistent. Panics if not live.
+    /// The live record behind `h`, or `None` if the handle is stale.
     #[inline]
-    pub(crate) fn is_consistent(&self, h: Handle) -> bool {
-        self.jobs
-            .get(h)
-            .expect("is_consistent of dead job")
-            .consistent
+    pub(crate) fn job(&self, h: Handle) -> Option<&Job> {
+        self.jobs.get(h)
     }
 
-    /// Whether `h` still names a live record.
+    /// Mutable access to the record behind `h`, or `None` if stale.
     #[inline]
-    pub(crate) fn contains(&self, h: Handle) -> bool {
-        self.jobs.contains(h)
+    pub(crate) fn job_mut(&mut self, h: Handle) -> Option<&mut Job> {
+        self.jobs.get_mut(h)
     }
 
-    /// The external id of the live record behind `h`. Panics if stale.
-    #[inline]
-    pub(crate) fn id_of(&self, h: Handle) -> u64 {
-        self.jobs.get(h).expect("id_of dead job").id
-    }
-
-    /// The protocol payload of the record behind `h`, or `None` if the
-    /// handle is stale.
-    #[inline]
-    pub(crate) fn extra(&self, h: Handle) -> Option<&X> {
-        self.jobs.get(h).map(|j| &j.extra)
-    }
-
-    /// Mutable protocol payload behind `h`, or `None` if stale.
-    #[inline]
-    pub(crate) fn extra_mut(&mut self, h: Handle) -> Option<&mut X> {
-        self.jobs.get_mut(h).map(|j| &mut j.extra)
-    }
-
-    /// Applies `f` to every live record's protocol payload (bulk state
-    /// resets, e.g. a crashed receiver forgetting its NACK dedup). The
-    /// visit order is slot order; callers must not emit output from `f`.
-    pub(crate) fn for_each_extra_mut(&mut self, mut f: impl FnMut(&mut X)) {
+    /// Applies `f` to every live record (bulk protocol-state resets,
+    /// e.g. a crashed receiver forgetting its NACK dedup). The visit
+    /// order is that of the dense live list, which depends on death
+    /// history; callers must not emit output from `f`.
+    pub(crate) fn for_each_job_mut(&mut self, mut f: impl FnMut(&mut Job)) {
         for h in &self.live {
-            f(&mut self.jobs.get_mut(*h).expect("live handle").extra);
+            f(self.jobs.get_mut(*h).expect("live handle"));
         }
     }
 
@@ -415,23 +426,23 @@ mod tests {
 
     #[test]
     fn lifecycle_and_metrics() {
-        let mut j: LiveJobs = LiveJobs::new(SimTime::ZERO, None, 0, 0);
-        let h1 = j.arrive(SimTime::ZERO, 1, ());
-        let h2 = j.arrive(SimTime::ZERO, 2, ());
+        let mut j = LiveJobs::new(SimTime::ZERO, None, 0, 0);
+        let h1 = j.arrive(SimTime::ZERO, 1);
+        let h2 = j.arrive(SimTime::ZERO, 2);
         assert_eq!(j.len(), 2);
-        assert!(!j.is_consistent(h1));
-        assert_eq!(j.id_of(h1), 1);
+        assert!(!j.job(h1).unwrap().is_consistent());
+        assert_eq!(j.job(h1).unwrap().id(), 1);
 
         assert!(j.deliver(SimTime::from_secs(1), h1, TraceId::NONE));
         assert!(
             !j.deliver(SimTime::from_secs(2), h1, TraceId::NONE),
             "redundant delivery"
         );
-        assert!(j.is_consistent(h1));
+        assert!(j.job(h1).unwrap().is_consistent());
 
         assert!(j.kill(SimTime::from_secs(4), h1));
         assert!(!j.kill(SimTime::from_secs(4), h2));
-        assert!(!j.contains(h1));
+        assert!(j.job(h1).is_none());
 
         let (stats, snapshot, _events, _trace) = j.finish(SimTime::from_secs(4));
         assert_eq!(stats.arrivals, 2);
@@ -453,12 +464,12 @@ mod tests {
 
     #[test]
     fn sketches_track_staleness_aoi_and_t_rec() {
-        let mut j: LiveJobs = LiveJobs::new(SimTime::ZERO, None, 0, 0);
+        let mut j = LiveJobs::new(SimTime::ZERO, None, 0, 0);
         // Record 1: delivered at 2s (t_rec = staleness = 2s), superseded
         // at 3s, re-delivered at 5s (staleness 2s), dies consistent.
         // Record 2: born at 1s, never delivered, dies at 4s -> AoI 3s.
-        let h1 = j.arrive(SimTime::ZERO, 1, ());
-        let h2 = j.arrive(SimTime::from_secs(1), 2, ());
+        let h1 = j.arrive(SimTime::ZERO, 1);
+        let h2 = j.arrive(SimTime::from_secs(1), 2);
         j.deliver(SimTime::from_secs(2), h1, TraceId::NONE);
         j.invalidate(SimTime::from_secs(3), h1);
         j.kill(SimTime::from_secs(4), h2);
@@ -466,7 +477,7 @@ mod tests {
         j.kill(SimTime::from_secs(6), h1);
         // Record 3: never delivered, still live at the 10s horizon ->
         // AoI sample 3s.
-        let _h3 = j.arrive(SimTime::from_secs(7), 3, ());
+        let _h3 = j.arrive(SimTime::from_secs(7), 3);
 
         let (_, snapshot, _, _) = j.finish(SimTime::from_secs(10));
         let trec = snapshot.sketch("latency.t_rec.sketch");
@@ -483,8 +494,8 @@ mod tests {
 
     #[test]
     fn series_enabled() {
-        let mut j: LiveJobs = LiveJobs::new(SimTime::ZERO, Some(SimDuration::ZERO), 0, 0);
-        let h = j.arrive(SimTime::ZERO, 7, ());
+        let mut j = LiveJobs::new(SimTime::ZERO, Some(SimDuration::ZERO), 0, 0);
+        let h = j.arrive(SimTime::ZERO, 7);
         j.deliver(SimTime::from_secs(1), h, TraceId::NONE);
         let (stats, _, _, _) = j.finish(SimTime::from_secs(2));
         let series = stats.series.unwrap();
@@ -494,8 +505,8 @@ mod tests {
 
     #[test]
     fn event_log_records_lifecycle() {
-        let mut j: LiveJobs = LiveJobs::new(SimTime::ZERO, None, 16, 0);
-        let h = j.arrive(SimTime::ZERO, 1, ());
+        let mut j = LiveJobs::new(SimTime::ZERO, None, 16, 0);
+        let h = j.arrive(SimTime::ZERO, 1);
         j.deliver(SimTime::from_secs(1), h, TraceId::NONE);
         j.invalidate(SimTime::from_secs(2), h);
         j.kill(SimTime::from_secs(3), h);
@@ -514,40 +525,40 @@ mod tests {
 
     #[test]
     fn stale_handle_is_detected_after_slot_reuse() {
-        let mut j: LiveJobs = LiveJobs::new(SimTime::ZERO, None, 0, 0);
-        let h1 = j.arrive(SimTime::ZERO, 1, ());
+        let mut j = LiveJobs::new(SimTime::ZERO, None, 0, 0);
+        let h1 = j.arrive(SimTime::ZERO, 1);
         j.kill(SimTime::from_secs(1), h1);
         // The new record recycles the slot, but the stale handle stays
         // dead — this is what makes in-flight timer events for dead
         // records safe without a map lookup.
-        let h2 = j.arrive(SimTime::from_secs(2), 2, ());
+        let h2 = j.arrive(SimTime::from_secs(2), 2);
         assert_eq!(h2.slot(), h1.slot());
-        assert!(!j.contains(h1));
-        assert!(j.contains(h2));
-        assert_eq!(j.extra(h1), None);
-        assert_eq!(j.id_of(h2), 2);
+        assert!(j.job(h1).is_none());
+        assert!(j.job(h2).is_some());
+        assert!(j.job(h1).is_none());
+        assert_eq!(j.job(h2).unwrap().id(), 2);
     }
 
     #[test]
     #[should_panic(expected = "dead job")]
     fn deliver_dead_panics() {
-        let mut j: LiveJobs = LiveJobs::new(SimTime::ZERO, None, 0, 0);
-        let h = j.arrive(SimTime::ZERO, 1, ());
+        let mut j = LiveJobs::new(SimTime::ZERO, None, 0, 0);
+        let h = j.arrive(SimTime::ZERO, 1);
         j.kill(SimTime::from_secs(1), h);
         j.deliver(SimTime::from_secs(2), h, TraceId::NONE);
     }
 
     #[test]
     fn wipe_emits_in_id_order_regardless_of_slot_history() {
-        let mut j: LiveJobs = LiveJobs::new(SimTime::ZERO, None, 16, 0);
+        let mut j = LiveJobs::new(SimTime::ZERO, None, 16, 0);
         // Allocate out of id order by recycling a slot: record 5 lands in
         // record 3's old slot after 3 dies.
-        let h3 = j.arrive(SimTime::ZERO, 3, ());
-        let h4 = j.arrive(SimTime::ZERO, 4, ());
+        let h3 = j.arrive(SimTime::ZERO, 3);
+        let h4 = j.arrive(SimTime::ZERO, 4);
         j.deliver(SimTime::ZERO, h3, TraceId::NONE);
         j.deliver(SimTime::ZERO, h4, TraceId::NONE);
         j.kill(SimTime::from_secs(1), h3);
-        let h5 = j.arrive(SimTime::from_secs(1), 5, ());
+        let h5 = j.arrive(SimTime::from_secs(1), 5);
         assert_eq!(h5.slot(), h3.slot(), "slot recycled out of id order");
         j.deliver(SimTime::from_secs(1), h5, TraceId::NONE);
         assert_eq!(j.wipe(SimTime::from_secs(2)), 2);
@@ -569,9 +580,9 @@ mod tests {
     fn tracer_mirrors_lifecycle_and_metrics() {
         use ss_netsim::trace::LifecycleAnalysis;
         let end = SimTime::from_secs(4);
-        let mut j: LiveJobs = LiveJobs::new(SimTime::ZERO, None, 0, 64);
-        let h1 = j.arrive(SimTime::ZERO, 1, ());
-        let _h2 = j.arrive(SimTime::ZERO, 2, ());
+        let mut j = LiveJobs::new(SimTime::ZERO, None, 0, 64);
+        let h1 = j.arrive(SimTime::ZERO, 1);
+        let _h2 = j.arrive(SimTime::ZERO, 2);
         j.deliver(SimTime::from_secs(1), h1, TraceId::NONE);
         j.invalidate(SimTime::from_secs(2), h1);
         j.deliver(SimTime::from_secs(3), h1, TraceId::NONE);

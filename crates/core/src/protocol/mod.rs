@@ -6,16 +6,25 @@
 //! * [`feedback`] — §5: hot/cold queues plus receiver NACKs that promote
 //!   lost records back to the hot queue (Figure 7's H/C/D machine).
 //!
-//! All three share the same workload and measurement machinery so their
-//! results are directly comparable on common random numbers: the same
-//! seed gives every variant the identical arrival/death/loss draws it
-//! would have seen under any other variant.
+//! The paper derives each variant from the one before, and so does the
+//! code: there is one simulation engine (private, `engine.rs`), and each
+//! module above is a public config and report around one *shape* of it —
+//! where a surviving record re-enters, how the data servers share
+//! bandwidth, whether a feedback channel exists. The pure Table 1 /
+//! Figure 7 rules the engine applies live in [`machine`], where
+//! `ss-verify` checks them exhaustively.
+//!
+//! So the variants share workload, measurement and random streams by
+//! construction and compare on common random numbers: the same seed
+//! gives every variant the identical arrival/death/loss draws it would
+//! have seen under any other variant.
 
 pub mod feedback;
 pub mod machine;
 pub mod open_loop;
 pub mod two_queue;
 
+mod engine;
 pub(crate) mod jobs;
 
 /// The plain-data loss specification now lives in `ss-netsim` (one

@@ -14,16 +14,14 @@
 //! the closed forms — which the tests below and the `validate-analysis`
 //! experiment do.
 
-use super::jobs::{JobStats, LiveJobs};
+use super::engine::{self, fraction, Reentry, Shape};
+use super::jobs::JobStats;
+use super::two_queue::Sharing;
 use super::{LossSpec, TransitionCounts};
 use crate::workload::{ArrivalProcess, DeathProcess, ServiceModel};
-use ss_netsim::metrics::{CounterId, EventKind, EventLog, MetricsSnapshot, QueueClass};
-use ss_netsim::trace::{Actor, TraceKind, Tracer};
-use ss_netsim::{
-    run_until, run_until_traced, EventQueue, FaultSchedule, FaultSpec, Handle, LossModel,
-    SimDuration, SimRng, SimTime, TracedWorld, World,
-};
-use std::collections::VecDeque;
+use ss_netsim::metrics::{EventLog, MetricsSnapshot};
+use ss_netsim::trace::Tracer;
+use ss_netsim::{FaultSpec, SimDuration};
 
 /// Configuration of an open-loop announce/listen run.
 #[derive(Clone, Debug)]
@@ -101,270 +99,7 @@ impl OpenLoopReport {
     /// Fraction of bandwidth spent on redundant retransmissions —
     /// the Figure 4 quantity.
     pub fn wasted_fraction(&self) -> f64 {
-        if self.transmissions == 0 {
-            0.0
-        } else {
-            self.redundant_transmissions as f64 / self.transmissions as f64
-        }
-    }
-}
-
-enum Ev {
-    Arrival,
-    ServiceDone(Handle),
-    /// Lifetime-based expiry (only scheduled under
-    /// [`DeathProcess::Lifetime`]). Carries the record's generational
-    /// handle: if the record died first, the handle is stale and the
-    /// event is a no-op — no map lookup needed.
-    LifetimeEnd(Handle),
-    /// A fault-episode boundary (only scheduled with a non-empty
-    /// [`FaultSpec`]): crash wipes apply here.
-    FaultEdge,
-}
-
-/// Per-record protocol state, stored inline in the record's arena slot.
-#[derive(Clone, Copy, Debug, Default)]
-struct OlJob {
-    /// Lifetime ended while in service; the record dies at the service
-    /// completion instead of vanishing off the wire.
-    doomed: bool,
-}
-
-struct Sim {
-    cfg: OpenLoopConfig,
-    queue: VecDeque<Handle>,
-    serving: Option<Handle>,
-    jobs: LiveJobs<OlJob>,
-    loss: Box<dyn LossModel>,
-    faults: FaultSchedule,
-    next_id: u64,
-    c_tx: CounterId,
-    c_redundant: CounterId,
-    c_lost: CounterId,
-    c_fault_lost: CounterId,
-    transitions: TransitionCounts,
-    rng_arrival: SimRng,
-    rng_service: SimRng,
-    rng_loss: SimRng,
-    rng_death: SimRng,
-    rng_update: SimRng,
-}
-
-impl Sim {
-    fn new(cfg: OpenLoopConfig, faults: &FaultSpec) -> Self {
-        let root = SimRng::new(cfg.seed);
-        let loss = cfg.loss.build_batched();
-        // The schedule draws from its own derived stream, so an empty
-        // spec consumes nothing and every other stream is unperturbed.
-        let faults = faults.build(root.derive("faults"));
-        let mut jobs = LiveJobs::new(
-            SimTime::ZERO,
-            cfg.series_spacing,
-            cfg.event_capacity,
-            cfg.trace_capacity,
-        );
-        let c_tx = jobs.metrics().counter("tx.total");
-        let c_redundant = jobs.metrics().counter("tx.redundant");
-        let c_lost = jobs.metrics().counter("tx.lost");
-        let c_fault_lost = jobs.metrics().counter("faults.drops");
-        Sim {
-            queue: VecDeque::new(),
-            serving: None,
-            jobs,
-            loss,
-            faults,
-            next_id: 0,
-            c_tx,
-            c_redundant,
-            c_lost,
-            c_fault_lost,
-            transitions: TransitionCounts::default(),
-            rng_arrival: root.derive("arrival"),
-            rng_service: root.derive("service"),
-            rng_loss: root.derive("loss"),
-            rng_death: root.derive("death"),
-            rng_update: root.derive("update"),
-            cfg,
-        }
-    }
-
-    fn spawn_record(&mut self, q: &mut EventQueue<Ev>) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let h = self.jobs.arrive(q.now(), id, OlJob::default());
-        if let Some(life) = self.cfg.death.lifetime(&mut self.rng_death) {
-            q.schedule_in(life, Ev::LifetimeEnd(h));
-        }
-        self.queue.push_back(h);
-        self.maybe_start_service(q);
-    }
-
-    fn maybe_start_service(&mut self, q: &mut EventQueue<Ev>) {
-        if self.serving.is_some() {
-            return;
-        }
-        let h = loop {
-            let Some(h) = self.queue.pop_front() else {
-                return;
-            };
-            if self.jobs.contains(h) {
-                break h;
-            }
-            // Expired while queued (lifetime death): skip.
-        };
-        self.serving = Some(h);
-        let mut st = self
-            .cfg
-            .service
-            .service_time(self.cfg.mu, &mut self.rng_service);
-        // Bandwidth-degradation episodes stretch serialization times.
-        let factor = self.faults.bandwidth_factor(q.now());
-        if factor < 1.0 {
-            st = SimDuration::from_micros((st.as_micros() as f64 / factor).round() as u64);
-        }
-        q.schedule_in(st, Ev::ServiceDone(h));
-    }
-
-    /// An arrival event: a new record, or — once an update workload's
-    /// keyspace is full — an in-place update of a random live record,
-    /// which makes the receiver's copy stale again. The record keeps its
-    /// place in the announcement cycle, so the new version propagates on
-    /// its next announcement.
-    fn handle_arrival(&mut self, q: &mut EventQueue<Ev>) {
-        if let ArrivalProcess::PoissonUpdates { keys, .. } = self.cfg.arrivals {
-            if self.jobs.len() as u64 >= keys {
-                if let Some(h) = self.jobs.random_live(&mut self.rng_update) {
-                    self.jobs.invalidate(q.now(), h);
-                }
-                return;
-            }
-        }
-        self.spawn_record(q);
-    }
-
-    fn schedule_next_arrival(&mut self, q: &mut EventQueue<Ev>) {
-        if let Some(dt) = self.cfg.arrivals.next_interarrival(&mut self.rng_arrival) {
-            q.schedule_in(dt, Ev::Arrival);
-        }
-    }
-}
-
-impl World for Sim {
-    type Event = Ev;
-
-    fn handle(&mut self, q: &mut EventQueue<Ev>, ev: Ev) {
-        match ev {
-            Ev::Arrival => {
-                self.handle_arrival(q);
-                self.schedule_next_arrival(q);
-            }
-            Ev::LifetimeEnd(h) => {
-                if self.jobs.contains(h) {
-                    if self.serving == Some(h) {
-                        // In flight: die at service completion.
-                        self.jobs.extra_mut(h).expect("live record").doomed = true;
-                    } else {
-                        // Waiting in the queue: removed lazily at pop.
-                        if self.jobs.kill(q.now(), h) {
-                            self.transitions.c_death += 1;
-                        } else {
-                            self.transitions.i_death += 1;
-                        }
-                    }
-                }
-            }
-            Ev::ServiceDone(h) => {
-                debug_assert_eq!(self.serving, Some(h));
-                self.serving = None;
-                let now = q.now();
-                let id = self.jobs.id_of(h);
-                self.jobs
-                    .events()
-                    .log(now, EventKind::Announce(QueueClass::Hot), id);
-                let tx_id =
-                    self.jobs
-                        .tracer()
-                        .instant(now, Actor::HotServer, TraceKind::Announce, id);
-                let c_tx = self.c_tx;
-                self.jobs.metrics().inc(c_tx);
-
-                let was_consistent = self.jobs.is_consistent(h);
-                if was_consistent {
-                    let c_redundant = self.c_redundant;
-                    self.jobs.metrics().inc(c_redundant);
-                }
-                // The baseline channel draw always happens (the stream
-                // must not depend on the fault schedule); fault checks
-                // layer on top.
-                let chan_lost = self.loss.is_lost(&mut self.rng_loss);
-                let fault_lost = self.faults.sender_silent(now)
-                    || self.faults.data_blocked(now)
-                    || self.faults.receiver_down(now, 0)
-                    || self.faults.extra_loss(now);
-                let lost = chan_lost || fault_lost;
-                if lost {
-                    let c_lost = self.c_lost;
-                    self.jobs.metrics().inc(c_lost);
-                    self.jobs.events().log(now, EventKind::Drop, id);
-                    if fault_lost && !chan_lost {
-                        let c_fault = self.c_fault_lost;
-                        self.jobs.metrics().inc(c_fault);
-                        self.jobs.tracer().instant_labeled(
-                            now,
-                            Actor::Channel,
-                            TraceKind::Drop,
-                            id,
-                            tx_id,
-                            "fault",
-                        );
-                    } else {
-                        self.jobs.tracer().instant_under(
-                            now,
-                            Actor::Channel,
-                            TraceKind::Drop,
-                            id,
-                            tx_id,
-                        );
-                    }
-                }
-                let dies = self.cfg.death.dies_after_service(&mut self.rng_death)
-                    || self.jobs.extra(h).expect("serving record is live").doomed;
-                let outcome = super::machine::classify_service(was_consistent, lost, dies);
-                self.transitions.record(outcome.transition);
-                if outcome.delivers {
-                    self.jobs.deliver(q.now(), h, tx_id);
-                }
-                if outcome.survives {
-                    self.queue.push_back(h);
-                } else {
-                    self.jobs.kill(q.now(), h);
-                }
-                self.maybe_start_service(q);
-            }
-            Ev::FaultEdge => {
-                // A receiver crash beginning now wipes the replica: every
-                // consistent record is stale again and must re-propagate
-                // through the announcement cycle after the restart.
-                if !self.faults.crashes_at(q.now()).is_empty() {
-                    self.jobs.wipe(q.now());
-                }
-            }
-        }
-    }
-}
-
-impl TracedWorld for Sim {
-    fn tracer(&mut self) -> &mut Tracer {
-        self.jobs.tracer()
-    }
-
-    fn event_label(ev: &Ev) -> &'static str {
-        match ev {
-            Ev::Arrival => "arrival",
-            Ev::ServiceDone(_) => "service-done",
-            Ev::LifetimeEnd(_) => "lifetime-end",
-            Ev::FaultEdge => "fault-edge",
-        }
+        fraction(self.redundant_transmissions, self.transmissions)
     }
 }
 
@@ -378,70 +113,48 @@ pub fn run(cfg: &OpenLoopConfig) -> OpenLoopReport {
 /// is byte-identical to [`run`]: the schedule consumes no randomness and
 /// blocks nothing.
 pub fn run_faulted(cfg: &OpenLoopConfig, faults: &FaultSpec) -> OpenLoopReport {
-    let mut sim = Sim::new(cfg.clone(), faults);
-    let mut q: EventQueue<Ev> = EventQueue::with_capacity(256);
-    let end = SimTime::ZERO + cfg.duration;
-
-    if sim.jobs.tracer().is_enabled() {
-        let Sim { faults, jobs, .. } = &mut sim;
-        faults.record_spans(jobs.tracer());
-    }
-    for t in sim.faults.boundaries() {
-        if t < end {
-            q.schedule(t, Ev::FaultEdge);
-        }
-    }
-    for _ in 0..cfg.arrivals.initial_count() {
-        sim.spawn_record(&mut q);
-    }
-    sim.schedule_next_arrival(&mut q);
-
-    // The traced/profiled loops add a per-dispatch branch; runs without
-    // either keep the plain loop so observation is zero-cost when off.
-    if ss_netsim::profile::is_enabled() {
-        ss_netsim::run_until_profiled(&mut sim, &mut q, end);
-        ss_netsim::profile::flush();
-    } else if sim.jobs.tracer().is_enabled() {
-        run_until_traced(&mut sim, &mut q, end);
-    } else {
-        run_until(&mut sim, &mut q, end);
-    }
-
-    let transmissions = sim.jobs.metrics().counter_value(sim.c_tx);
-    let redundant = sim.jobs.metrics().counter_value(sim.c_redundant);
-    let lost = sim.jobs.metrics().counter_value(sim.c_lost);
-    let c_dispatched = sim.jobs.metrics().counter("engine.events_dispatched");
-    sim.jobs.metrics().add(c_dispatched, q.dispatched());
-    let c_scheduled = sim.jobs.metrics().counter("engine.events_scheduled");
-    sim.jobs.metrics().add(c_scheduled, q.scheduled());
-
-    let observed_loss_rate = if transmissions == 0 {
-        0.0
-    } else {
-        lost as f64 / transmissions as f64
+    // §3 is the engine with one queue in use: every record enters the hot
+    // queue and a survivor re-enters the queue it was served from, so the
+    // cold queue stays empty and its server (rate 0) never starts.
+    let shape = Shape {
+        arrivals: cfg.arrivals,
+        death: cfg.death,
+        loss: cfg.loss,
+        service: cfg.service,
+        seed: cfg.seed,
+        duration: cfg.duration,
+        series_spacing: cfg.series_spacing,
+        event_capacity: cfg.event_capacity,
+        trace_capacity: cfg.trace_capacity,
+        mu: [cfg.mu, 0.0],
+        reentry: Reentry::Served,
+        sharing: Sharing::Partitioned,
+        feedback: None,
+        tx_counters: ["tx.total"; 2],
+        done_labels: ["service-done"; 3],
+        logs_demote: false,
     };
-    let fault_drops = sim.jobs.metrics().counter_value(sim.c_fault_lost);
-    let (stats, metrics, events, trace) = sim.jobs.finish(end);
+    let t = engine::run(&shape, faults);
     OpenLoopReport {
-        stats,
-        transmissions,
-        redundant_transmissions: redundant,
-        transitions: sim.transitions,
-        observed_loss_rate,
-        fault_drops,
-        metrics,
-        events,
-        trace,
+        stats: t.stats,
+        transmissions: t.tx[0],
+        redundant_transmissions: t.redundant,
+        transitions: t.transitions,
+        observed_loss_rate: fraction(t.lost, t.tx[0]),
+        fault_drops: t.fault_drops,
+        metrics: t.metrics,
+        events: t.events,
+        trace: t.trace,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ss_queueing::OpenLoop;
 
     /// A standard validation run: stable, moderate loss/death.
-    fn validation_cfg(seed: u64) -> OpenLoopConfig {
+    pub(crate) fn validation_cfg(seed: u64) -> OpenLoopConfig {
         let mut c = OpenLoopConfig::analytic(2.0, 16.0, 0.2, 0.25, seed);
         c.duration = SimDuration::from_secs(100_000);
         c
@@ -511,18 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let a = run(&validation_cfg(7));
-        let b = run(&validation_cfg(7));
-        assert_eq!(a.transmissions, b.transmissions);
-        assert_eq!(a.stats.arrivals, b.stats.arrivals);
-        assert_eq!(
-            a.stats.consistency.unnormalized,
-            b.stats.consistency.unnormalized
-        );
-    }
-
-    #[test]
     fn bulk_workload_is_eventually_consistent() {
         // Static input + no death: every record is eventually delivered
         // despite 50% loss — the paper's "quasi-reliable" property.
@@ -553,21 +254,9 @@ mod tests {
         assert!(lo.stats.consistency.busy.unwrap() > hi.stats.consistency.busy.unwrap() + 0.1);
     }
 
-    #[test]
-    fn empty_fault_spec_is_byte_identical() {
-        let cfg = validation_cfg(31);
-        let a = run(&cfg);
-        let b = run_faulted(&cfg, &FaultSpec::none());
-        assert_eq!(a.transmissions, b.transmissions);
-        assert_eq!(a.stats.arrivals, b.stats.arrivals);
-        assert_eq!(
-            a.stats.consistency.unnormalized.to_bits(),
-            b.stats.consistency.unnormalized.to_bits()
-        );
-        assert_eq!(a.fault_drops, 0);
-    }
-
-    fn bulk_lossless(seed: u64) -> OpenLoopConfig {
+    /// 30 immortal records on a lossless channel (the shared fault
+    /// tests beside the engine run on it).
+    pub(crate) fn bulk_lossless(seed: u64) -> OpenLoopConfig {
         OpenLoopConfig {
             arrivals: ArrivalProcess::Bulk { count: 30 },
             death: DeathProcess::Immortal,
@@ -580,47 +269,6 @@ mod tests {
             event_capacity: 0,
             trace_capacity: 0,
         }
-    }
-
-    #[test]
-    fn partition_blocks_then_heals() {
-        let faults = FaultSpec::none().partition(SimTime::from_secs(1), SimTime::from_secs(20));
-        let r = run_faulted(&bulk_lossless(41), &faults);
-        assert!(r.fault_drops > 0, "partition dropped announcements");
-        assert_eq!(
-            r.stats.latency.count(),
-            30,
-            "every record delivered after heal"
-        );
-        assert_eq!(r.stats.final_live, 30);
-    }
-
-    #[test]
-    fn receiver_crash_wipes_and_reconverges() {
-        // All 30 records are consistent well before t=30; the crash wipes
-        // the replica (30 update transitions), the down episode drops the
-        // cycle's announcements, and after restart every record is
-        // re-delivered: exactly 60 I → C transitions in total.
-        let faults =
-            FaultSpec::none().receiver_crash(SimTime::from_secs(30), SimTime::from_secs(40), 0);
-        let r = run_faulted(&bulk_lossless(42), &faults);
-        assert_eq!(r.stats.updates, 30, "crash wipe flips every record");
-        assert_eq!(r.metrics.counter("records.delivered"), 60);
-        assert!(r.fault_drops > 0);
-        assert!(r.stats.consistency.busy.unwrap() > 0.8);
-    }
-
-    #[test]
-    fn faulted_runs_replay_bit_for_bit() {
-        let faults = FaultSpec::generate(&mut SimRng::new(5), 1, SimDuration::from_secs(100), 3);
-        let a = run_faulted(&bulk_lossless(43), &faults);
-        let b = run_faulted(&bulk_lossless(43), &faults);
-        assert_eq!(a.transmissions, b.transmissions);
-        assert_eq!(a.fault_drops, b.fault_drops);
-        assert_eq!(
-            a.stats.consistency.unnormalized.to_bits(),
-            b.stats.consistency.unnormalized.to_bits()
-        );
     }
 
     #[test]

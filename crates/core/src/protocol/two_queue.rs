@@ -19,17 +19,14 @@
 //!   by transmissions from the cold queue" as §4 describes. Used by the
 //!   scheduler-ablation experiment.
 
-use super::jobs::{JobStats, LiveJobs};
+use super::engine::{self, fraction, Reentry, Shape};
+use super::jobs::JobStats;
 use super::LossSpec;
 use crate::workload::{ArrivalProcess, DeathProcess, ServiceModel};
-use ss_netsim::metrics::{AverageId, CounterId, EventKind, EventLog, MetricsSnapshot, QueueClass};
-use ss_netsim::trace::{Actor, TraceKind, Tracer};
-use ss_netsim::{
-    run_until, run_until_traced, EventQueue, FaultSchedule, FaultSpec, Handle, LossModel,
-    SimDuration, SimRng, SimTime, TracedWorld, World,
-};
-use ss_sched::{Drr, Lottery, Metered, Scheduler, Sfq, StrictPriority, Stride};
-use std::collections::VecDeque;
+use ss_netsim::metrics::{EventLog, MetricsSnapshot};
+use ss_netsim::trace::Tracer;
+use ss_netsim::{FaultSpec, SimDuration};
+use ss_sched::{Drr, Lottery, Scheduler, Sfq, StrictPriority, Stride};
 
 /// Which transmission queue served a packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,428 +143,7 @@ impl TwoQueueReport {
 
     /// The Figure 4 quantity for this variant.
     pub fn wasted_fraction(&self) -> f64 {
-        let t = self.transmissions();
-        if t == 0 {
-            0.0
-        } else {
-            self.redundant_transmissions as f64 / t as f64
-        }
-    }
-}
-
-enum Ev {
-    Arrival,
-    Done {
-        h: Handle,
-        src: Src,
-    },
-    /// Lifetime-based expiry (only under [`DeathProcess::Lifetime`]).
-    /// Carries the record's generational handle: stale after death.
-    LifetimeEnd(Handle),
-    /// A fault-episode boundary (only scheduled with a non-empty
-    /// [`FaultSpec`]): crash wipes apply here.
-    FaultEdge,
-}
-
-/// Per-record protocol state, stored inline in the record's arena slot.
-#[derive(Clone, Copy, Debug, Default)]
-struct TqJob {
-    /// Currently on the wire (for lifetime-death deferral).
-    in_service: bool,
-    /// Lifetime ended mid-service; killed at completion.
-    doomed: bool,
-}
-
-struct Sim {
-    cfg: TwoQueueConfig,
-    hot: VecDeque<Handle>,
-    cold: VecDeque<Handle>,
-    /// Partitioned mode: per-server busy records. Work-conserving mode:
-    /// only `busy_hot` is used, for the single shared server.
-    busy_hot: bool,
-    busy_cold: bool,
-    sched: Option<Metered<Box<dyn Scheduler>>>,
-    jobs: LiveJobs<TqJob>,
-    loss: Box<dyn LossModel>,
-    faults: FaultSchedule,
-    next_id: u64,
-    c_hot_tx: CounterId,
-    c_cold_tx: CounterId,
-    c_redundant: CounterId,
-    c_lost: CounterId,
-    c_fault_lost: CounterId,
-    a_hot_backlog: AverageId,
-    rng_arrival: SimRng,
-    rng_service: SimRng,
-    rng_loss: SimRng,
-    rng_death: SimRng,
-    rng_sched: SimRng,
-    rng_update: SimRng,
-}
-
-const HOT: usize = 0;
-const COLD: usize = 1;
-
-/// Pops the next live record from `queue` (skipping stale handles of
-/// lifetime-expired records left behind for lazy removal).
-fn pop_live(queue: &mut VecDeque<Handle>, jobs: &LiveJobs<TqJob>) -> Option<Handle> {
-    while let Some(h) = queue.pop_front() {
-        if jobs.contains(h) {
-            return Some(h);
-        }
-    }
-    None
-}
-
-/// Drops dead records from the head of `queue`.
-fn purge_dead(queue: &mut VecDeque<Handle>, jobs: &LiveJobs<TqJob>) {
-    while let Some(&h) = queue.front() {
-        if jobs.contains(h) {
-            break;
-        }
-        queue.pop_front();
-    }
-}
-
-/// Scales the two rates into small integer scheduler weights (granularity
-/// 1/20 of the total), keeping round-robin-style policies like DRR from
-/// serving enormous bursts per class visit.
-fn weights_of(mu_hot: f64, mu_cold: f64) -> (u64, u64) {
-    let total = mu_hot + mu_cold;
-    if total <= 0.0 {
-        return (0, 0);
-    }
-    let w = |mu: f64| -> u64 {
-        if mu <= 0.0 {
-            0
-        } else {
-            ((mu / total * 20.0).round() as u64).max(1)
-        }
-    };
-    (w(mu_hot), w(mu_cold))
-}
-
-impl Sim {
-    fn new(cfg: TwoQueueConfig, faults: &FaultSpec) -> Self {
-        let root = SimRng::new(cfg.seed);
-        let loss = cfg.loss.build_batched();
-        // The schedule draws from its own derived stream, so an empty
-        // spec consumes nothing and every other stream is unperturbed.
-        let faults = faults.build(root.derive("faults"));
-        let sched = match cfg.sharing {
-            Sharing::Partitioned => None,
-            Sharing::WorkConserving(policy) => {
-                let mut s = Metered::new(policy.build());
-                let (wh, wc) = weights_of(cfg.mu_hot, cfg.mu_cold);
-                s.set_weight(HOT, wh);
-                s.set_weight(COLD, wc);
-                Some(s)
-            }
-        };
-        let mut jobs = LiveJobs::new(
-            SimTime::ZERO,
-            cfg.series_spacing,
-            cfg.event_capacity,
-            cfg.trace_capacity,
-        );
-        let c_hot_tx = jobs.metrics().counter("tx.hot");
-        let c_cold_tx = jobs.metrics().counter("tx.cold");
-        let c_redundant = jobs.metrics().counter("tx.redundant");
-        let c_lost = jobs.metrics().counter("tx.lost");
-        let c_fault_lost = jobs.metrics().counter("faults.drops");
-        let a_hot_backlog =
-            jobs.metrics()
-                .time_average("queue.hot.backlog", SimTime::ZERO, 0.0, SimDuration::ZERO);
-        Sim {
-            hot: VecDeque::new(),
-            cold: VecDeque::new(),
-            busy_hot: false,
-            busy_cold: false,
-            sched,
-            jobs,
-            loss,
-            faults,
-            next_id: 0,
-            c_hot_tx,
-            c_cold_tx,
-            c_redundant,
-            c_lost,
-            c_fault_lost,
-            a_hot_backlog,
-            rng_arrival: root.derive("arrival"),
-            rng_service: root.derive("service"),
-            rng_loss: root.derive("loss"),
-            rng_death: root.derive("death"),
-            rng_sched: root.derive("sched"),
-            rng_update: root.derive("update"),
-            cfg,
-        }
-    }
-
-    /// Stretches a service time under an active bandwidth-degradation
-    /// episode (identity without one).
-    fn degraded(&self, now: SimTime, st: SimDuration) -> SimDuration {
-        let factor = self.faults.bandwidth_factor(now);
-        if factor < 1.0 {
-            SimDuration::from_micros((st.as_micros() as f64 / factor).round() as u64)
-        } else {
-            st
-        }
-    }
-
-    fn note_hot_backlog(&mut self, now: SimTime) {
-        let backlog = self.hot.len() as f64;
-        self.jobs
-            .metrics()
-            .record_sample(self.a_hot_backlog, now, backlog);
-    }
-
-    fn spawn_record(&mut self, q: &mut EventQueue<Ev>) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let h = self.jobs.arrive(q.now(), id, TqJob::default());
-        if let Some(life) = self.cfg.death.lifetime(&mut self.rng_death) {
-            q.schedule_in(life, Ev::LifetimeEnd(h));
-        }
-        self.hot.push_back(h);
-        self.note_hot_backlog(q.now());
-        self.kick(q);
-    }
-
-    /// Marks `h` on the wire (lifetime deaths defer to completion).
-    fn mark_in_service(&mut self, h: Handle) {
-        self.jobs.extra_mut(h).expect("live record").in_service = true;
-    }
-
-    /// Starts whatever service the sharing mode allows.
-    fn kick(&mut self, q: &mut EventQueue<Ev>) {
-        match self.cfg.sharing {
-            Sharing::Partitioned => {
-                if !self.busy_hot && self.cfg.mu_hot > 0.0 {
-                    if let Some(h) = pop_live(&mut self.hot, &self.jobs) {
-                        self.note_hot_backlog(q.now());
-                        self.busy_hot = true;
-                        self.mark_in_service(h);
-                        let st = self
-                            .cfg
-                            .service
-                            .service_time(self.cfg.mu_hot, &mut self.rng_service);
-                        let st = self.degraded(q.now(), st);
-                        q.schedule_in(st, Ev::Done { h, src: Src::Hot });
-                    }
-                }
-                if !self.busy_cold && self.cfg.mu_cold > 0.0 {
-                    if let Some(h) = pop_live(&mut self.cold, &self.jobs) {
-                        self.busy_cold = true;
-                        self.mark_in_service(h);
-                        let st = self
-                            .cfg
-                            .service
-                            .service_time(self.cfg.mu_cold, &mut self.rng_service);
-                        let st = self.degraded(q.now(), st);
-                        q.schedule_in(st, Ev::Done { h, src: Src::Cold });
-                    }
-                }
-            }
-            Sharing::WorkConserving(_) => {
-                if self.busy_hot {
-                    return;
-                }
-                let mu_data = self.cfg.mu_hot + self.cfg.mu_cold;
-                if mu_data <= 0.0 {
-                    return;
-                }
-                // Purge dead heads first so backlog flags are truthful.
-                purge_dead(&mut self.hot, &self.jobs);
-                purge_dead(&mut self.cold, &self.jobs);
-                let sched = self.sched.as_mut().expect("scheduler for WC mode");
-                sched.set_backlogged(HOT, !self.hot.is_empty());
-                sched.set_backlogged(COLD, !self.cold.is_empty());
-                let Some(class) =
-                    sched.pick_traced(q.now(), &mut self.rng_sched, self.jobs.tracer())
-                else {
-                    return;
-                };
-                sched.charge(class, 1);
-                let (h, src) = if class == HOT {
-                    let h = self.hot.pop_front().expect("hot backlog flag stale");
-                    self.note_hot_backlog(q.now());
-                    (h, Src::Hot)
-                } else {
-                    (
-                        self.cold.pop_front().expect("cold backlog flag stale"),
-                        Src::Cold,
-                    )
-                };
-                self.busy_hot = true;
-                self.mark_in_service(h);
-                let st = self
-                    .cfg
-                    .service
-                    .service_time(mu_data, &mut self.rng_service);
-                let st = self.degraded(q.now(), st);
-                q.schedule_in(st, Ev::Done { h, src });
-            }
-        }
-    }
-
-    fn complete(&mut self, q: &mut EventQueue<Ev>, h: Handle, src: Src) {
-        self.jobs
-            .extra_mut(h)
-            .expect("completing record is live")
-            .in_service = false;
-        let now = q.now();
-        let id = self.jobs.id_of(h);
-        let (c_src, queue) = match src {
-            Src::Hot => (self.c_hot_tx, QueueClass::Hot),
-            Src::Cold => (self.c_cold_tx, QueueClass::Cold),
-        };
-        self.jobs.metrics().inc(c_src);
-        self.jobs.events().log(now, EventKind::Announce(queue), id);
-        let tx_actor = match src {
-            Src::Hot => Actor::HotServer,
-            Src::Cold => Actor::ColdServer,
-        };
-        let tx_id = self
-            .jobs
-            .tracer()
-            .instant(now, tx_actor, TraceKind::Announce, id);
-        let was_consistent = self.jobs.is_consistent(h);
-        if was_consistent {
-            let c_redundant = self.c_redundant;
-            self.jobs.metrics().inc(c_redundant);
-        }
-        // The baseline channel draw always happens (the stream must not
-        // depend on the fault schedule); fault checks layer on top.
-        let chan_lost = self.loss.is_lost(&mut self.rng_loss);
-        let fault_lost = self.faults.sender_silent(now)
-            || self.faults.data_blocked(now)
-            || self.faults.receiver_down(now, 0)
-            || self.faults.extra_loss(now);
-        let lost = chan_lost || fault_lost;
-        if lost {
-            let c_lost = self.c_lost;
-            self.jobs.metrics().inc(c_lost);
-            self.jobs.events().log(now, EventKind::Drop, id);
-            if fault_lost && !chan_lost {
-                let c_fault = self.c_fault_lost;
-                self.jobs.metrics().inc(c_fault);
-                self.jobs.tracer().instant_labeled(
-                    now,
-                    Actor::Channel,
-                    TraceKind::Drop,
-                    id,
-                    tx_id,
-                    "fault",
-                );
-            } else {
-                self.jobs
-                    .tracer()
-                    .instant_under(now, Actor::Channel, TraceKind::Drop, id, tx_id);
-            }
-        }
-        // The death draw comes from its own stream (`rng_death`), so
-        // hoisting it above delivery leaves every random stream intact.
-        let dies = self.cfg.death.dies_after_service(&mut self.rng_death)
-            || self
-                .jobs
-                .extra(h)
-                .expect("completing record is live")
-                .doomed;
-        let outcome = super::machine::classify_service(was_consistent, lost, dies);
-        if outcome.delivers {
-            self.jobs.deliver(now, h, tx_id);
-        }
-        if !outcome.survives {
-            self.jobs.kill(now, h);
-        } else {
-            // Hot-served records age into the cold queue; cold-served
-            // records cycle back to its tail.
-            if src == Src::Hot {
-                self.jobs.events().log(now, EventKind::Demote, id);
-                self.jobs
-                    .tracer()
-                    .instant(now, Actor::ColdServer, TraceKind::Demote, id);
-            }
-            self.cold.push_back(h);
-        }
-    }
-
-    /// An arrival: a new record, or — once an update workload's keyspace
-    /// is full — an in-place update of a random live record. The stale
-    /// record refreshes through its existing queue position (the cold
-    /// cycle); promotion-on-update is the feedback variant's job.
-    fn handle_arrival(&mut self, q: &mut EventQueue<Ev>) {
-        if let ArrivalProcess::PoissonUpdates { keys, .. } = self.cfg.arrivals {
-            if self.jobs.len() as u64 >= keys {
-                if let Some(h) = self.jobs.random_live(&mut self.rng_update) {
-                    self.jobs.invalidate(q.now(), h);
-                }
-                return;
-            }
-        }
-        self.spawn_record(q);
-    }
-
-    fn schedule_next_arrival(&mut self, q: &mut EventQueue<Ev>) {
-        if let Some(dt) = self.cfg.arrivals.next_interarrival(&mut self.rng_arrival) {
-            q.schedule_in(dt, Ev::Arrival);
-        }
-    }
-}
-
-impl World for Sim {
-    type Event = Ev;
-
-    fn handle(&mut self, q: &mut EventQueue<Ev>, ev: Ev) {
-        match ev {
-            Ev::Arrival => {
-                self.handle_arrival(q);
-                self.schedule_next_arrival(q);
-            }
-            Ev::LifetimeEnd(h) => {
-                if let Some(x) = self.jobs.extra_mut(h) {
-                    if x.in_service {
-                        x.doomed = true;
-                    } else {
-                        self.jobs.kill(q.now(), h);
-                    }
-                }
-            }
-            Ev::Done { h, src } => {
-                match (self.cfg.sharing, src) {
-                    (Sharing::Partitioned, Src::Hot) => self.busy_hot = false,
-                    (Sharing::Partitioned, Src::Cold) => self.busy_cold = false,
-                    (Sharing::WorkConserving(_), _) => self.busy_hot = false,
-                }
-                self.complete(q, h, src);
-                self.kick(q);
-            }
-            Ev::FaultEdge => {
-                // A receiver crash beginning now wipes the replica: every
-                // consistent record is stale again and must re-propagate
-                // through the cold cycle after the restart.
-                if !self.faults.crashes_at(q.now()).is_empty() {
-                    self.jobs.wipe(q.now());
-                }
-            }
-        }
-    }
-}
-
-impl TracedWorld for Sim {
-    fn tracer(&mut self) -> &mut Tracer {
-        self.jobs.tracer()
-    }
-
-    fn event_label(ev: &Ev) -> &'static str {
-        match ev {
-            Ev::Arrival => "arrival",
-            Ev::Done { src: Src::Hot, .. } => "done-hot",
-            Ev::Done { src: Src::Cold, .. } => "done-cold",
-            Ev::LifetimeEnd(_) => "lifetime-end",
-            Ev::FaultEdge => "fault-edge",
-        }
+        fraction(self.redundant_transmissions, self.transmissions())
     }
 }
 
@@ -580,84 +156,51 @@ pub fn run(cfg: &TwoQueueConfig) -> TwoQueueReport {
 /// is byte-identical to [`run`]: the schedule consumes no randomness and
 /// blocks nothing.
 pub fn run_faulted(cfg: &TwoQueueConfig, faults: &FaultSpec) -> TwoQueueReport {
-    let mut sim = Sim::new(cfg.clone(), faults);
-    let mut q: EventQueue<Ev> = EventQueue::with_capacity(256);
-    let end = SimTime::ZERO + cfg.duration;
-
-    if sim.jobs.tracer().is_enabled() {
-        let Sim { faults, jobs, .. } = &mut sim;
-        faults.record_spans(jobs.tracer());
-    }
-    for t in sim.faults.boundaries() {
-        if t < end {
-            q.schedule(t, Ev::FaultEdge);
-        }
-    }
-    for _ in 0..cfg.arrivals.initial_count() {
-        sim.spawn_record(&mut q);
-    }
-    sim.schedule_next_arrival(&mut q);
-
-    // Observation consumes no randomness, so the traced and profiled
-    // loops replay the plain run exactly; the branch keeps the common
-    // path zero-cost.
-    if ss_netsim::profile::is_enabled() {
-        ss_netsim::run_until_profiled(&mut sim, &mut q, end);
-        ss_netsim::profile::flush();
-    } else if sim.jobs.tracer().is_enabled() {
-        run_until_traced(&mut sim, &mut q, end);
-    } else {
-        run_until(&mut sim, &mut q, end);
-    }
-
-    let hot_tx = sim.jobs.metrics().counter_value(sim.c_hot_tx);
-    let cold_tx = sim.jobs.metrics().counter_value(sim.c_cold_tx);
-    let redundant = sim.jobs.metrics().counter_value(sim.c_redundant);
-    let lost = sim.jobs.metrics().counter_value(sim.c_lost);
-    if let Some(sched) = sim.sched.take() {
-        sched.export_into(sim.jobs.metrics(), "sched");
-    }
-    let c_dispatched = sim.jobs.metrics().counter("engine.events_dispatched");
-    sim.jobs.metrics().add(c_dispatched, q.dispatched());
-    let c_scheduled = sim.jobs.metrics().counter("engine.events_scheduled");
-    sim.jobs.metrics().add(c_scheduled, q.scheduled());
-
-    let total_tx = hot_tx + cold_tx;
-    let observed_loss_rate = if total_tx == 0 {
-        0.0
-    } else {
-        lost as f64 / total_tx as f64
+    // §4: a served record ages into the cold queue, which cycles forever;
+    // an updated record refreshes through that cycle (promotion on update
+    // is the feedback variant's).
+    let shape = Shape {
+        arrivals: cfg.arrivals,
+        death: cfg.death,
+        loss: cfg.loss,
+        service: cfg.service,
+        seed: cfg.seed,
+        duration: cfg.duration,
+        series_spacing: cfg.series_spacing,
+        event_capacity: cfg.event_capacity,
+        trace_capacity: cfg.trace_capacity,
+        mu: [cfg.mu_hot, cfg.mu_cold],
+        reentry: Reentry::Cold,
+        sharing: cfg.sharing,
+        feedback: None,
+        tx_counters: ["tx.hot", "tx.cold"],
+        done_labels: ["done-hot", "done-cold", ""],
+        logs_demote: true,
     };
-    let fault_drops = sim.jobs.metrics().counter_value(sim.c_fault_lost);
-    let mean_hot_backlog = sim
-        .jobs
-        .metrics()
-        .average_value(sim.a_hot_backlog)
-        .mean_until(end);
-    let (stats, metrics, events, trace) = sim.jobs.finish(end);
-    let final_hot_backlog = sim.hot.len();
+    let t = engine::run(&shape, faults);
     TwoQueueReport {
-        stats,
-        hot_transmissions: hot_tx,
-        cold_transmissions: cold_tx,
-        redundant_transmissions: redundant,
-        observed_loss_rate,
-        fault_drops,
-        mean_hot_backlog,
-        final_hot_backlog,
-        metrics,
-        events,
-        trace,
+        stats: t.stats,
+        hot_transmissions: t.tx[0],
+        cold_transmissions: t.tx[1],
+        redundant_transmissions: t.redundant,
+        observed_loss_rate: fraction(t.lost, t.tx[0] + t.tx[1]),
+        fault_drops: t.fault_drops,
+        mean_hot_backlog: t.mean_hot_backlog,
+        final_hot_backlog: t.final_hot_backlog,
+        metrics: t.metrics,
+        events: t.events,
+        trace: t.trace,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use ss_netsim::trace::TraceKind;
 
     /// Figure 5's workload in packets/s: λ = 1.875/s (15 kbps),
     /// μ_data = 5.625/s (45 kbps), split by `hot_share`.
-    fn fig5_cfg(hot_share: f64, p_loss: f64, seed: u64) -> TwoQueueConfig {
+    pub(crate) fn fig5_cfg(hot_share: f64, p_loss: f64, seed: u64) -> TwoQueueConfig {
         let mu_data = 5.625;
         TwoQueueConfig {
             arrivals: ArrivalProcess::Poisson { rate: 1.875 },
@@ -765,17 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let a = run(&fig5_cfg(0.4, 0.3, 9));
-        let b = run(&fig5_cfg(0.4, 0.3, 9));
-        assert_eq!(a.transmissions(), b.transmissions());
-        assert_eq!(
-            a.stats.consistency.unnormalized,
-            b.stats.consistency.unnormalized
-        );
-    }
-
-    #[test]
     fn causal_trace_does_not_perturb_and_links_lifecycle() {
         let mut cfg = fig5_cfg(0.4, 0.3, 11);
         cfg.duration = SimDuration::from_secs(2_000);
@@ -810,25 +342,10 @@ mod tests {
         assert!(t.of_kind(TraceKind::Dispatch).count() > 0);
     }
 
-    #[test]
-    fn empty_fault_spec_is_byte_identical() {
-        let cfg = fig5_cfg(0.4, 0.3, 17);
-        let a = run(&cfg);
-        let b = run_faulted(&cfg, &FaultSpec::none());
-        assert_eq!(a.transmissions(), b.transmissions());
-        assert_eq!(
-            a.stats.consistency.unnormalized.to_bits(),
-            b.stats.consistency.unnormalized.to_bits()
-        );
-        assert_eq!(b.fault_drops, 0);
-    }
-
-    #[test]
-    fn partition_blocks_then_heals_via_cold_cycle() {
-        // Immortal bulk records, lossless channel: a partition drops a
-        // stretch of announcements, but the cold cycle re-announces until
-        // everyone is delivered after the heal.
-        let cfg = TwoQueueConfig {
+    /// 20 immortal records on a lossless channel, partitioned servers
+    /// (the shared fault tests beside the engine run on it).
+    pub(crate) fn bulk_lossless(seed: u64) -> TwoQueueConfig {
+        TwoQueueConfig {
             arrivals: ArrivalProcess::Bulk { count: 20 },
             death: DeathProcess::Immortal,
             mu_hot: 10.0,
@@ -836,23 +353,12 @@ mod tests {
             loss: LossSpec::None,
             service: ServiceModel::Deterministic,
             sharing: Sharing::Partitioned,
-            seed: 18,
+            seed,
             duration: SimDuration::from_secs(200),
             series_spacing: None,
             event_capacity: 0,
             trace_capacity: 0,
-        };
-        let faults = FaultSpec::none().partition(SimTime::from_secs(1), SimTime::from_secs(30));
-        let r = run_faulted(&cfg, &faults);
-        assert!(r.fault_drops > 0, "partition dropped announcements");
-        assert_eq!(r.stats.latency.count(), 20, "all delivered after heal");
-        // A receiver crash mid-run wipes the replica; the cold cycle then
-        // re-delivers every record a second time.
-        let crash =
-            FaultSpec::none().receiver_crash(SimTime::from_secs(60), SimTime::from_secs(70), 0);
-        let r = run_faulted(&cfg, &crash);
-        assert_eq!(r.stats.updates, 20, "crash wipe flips every record");
-        assert_eq!(r.metrics.counter("records.delivered"), 40);
+        }
     }
 
     #[test]

@@ -218,8 +218,10 @@ pub trait TracedWorld: World {
     fn tracer(&mut self) -> &mut crate::trace::Tracer;
 
     /// A stable static label for an event payload, shown on the engine
-    /// lane of exported traces.
-    fn event_label(ev: &Self::Event) -> &'static str;
+    /// lane of exported traces. Takes `&self` because one world type may
+    /// name its events per configuration (the protocol engine's variants
+    /// keep their own committed labels).
+    fn event_label(&self, ev: &Self::Event) -> &'static str;
 }
 
 /// [`run_until`] plus per-dispatch tracing: before each event is
@@ -235,7 +237,8 @@ pub fn run_until_traced<W: TracedWorld>(world: &mut W, q: &mut EventQueue<W::Eve
             break;
         }
         let (_, ev) = q.pop().expect("peeked event vanished");
-        world.tracer().dispatch(at, W::event_label(&ev));
+        let label = world.event_label(&ev);
+        world.tracer().dispatch(at, label);
         world.handle(q, ev);
     }
 }
@@ -266,7 +269,7 @@ pub fn run_until_profiled<W: TracedWorld>(
             }
         };
         let (at, ev) = ev;
-        let label = W::event_label(&ev);
+        let label = world.event_label(&ev);
         world.tracer().dispatch(at, label);
         let _dispatch = crate::profile::dispatch_scope(label);
         world.handle(q, ev);

@@ -22,8 +22,8 @@
 //! * [`faults`] — `ss-chaos`: deterministic fault-injection schedules
 //!   (partitions, loss overrides, bandwidth degradation, endpoint
 //!   crashes) on the virtual clock ([`FaultSpec`], [`FaultSchedule`]).
-//! * [`stats`] — exact time-weighted averages, Welford accumulators,
-//!   latency histograms, and time-series recorders for the paper's metrics.
+//! * [`stats`] — latency histograms and time-series recorders for the
+//!   paper's metrics (exact time averages live in [`metrics`]).
 //! * [`metrics`] — `ss-metrics`: a deterministic registry of named
 //!   counters/gauges/histograms/time-averages plus a typed event log,
 //!   with JSONL export ([`MetricsRegistry`], [`EventLog`]).
@@ -94,7 +94,7 @@ pub use metrics::{
 };
 pub use profile::{PhaseEntry, ProfileReport};
 pub use rng::SimRng;
-pub use stats::{DurationHistogram, TimeSeries, TimeWeightedMean, Welford};
+pub use stats::{DurationHistogram, TimeSeries};
 pub use time::{Clock, ManualClock, SimDuration, SimTime};
 pub use trace::{Actor, LifecycleAnalysis, TraceEvent, TraceId, TraceKind, Tracer};
 pub use units::Bandwidth;
@@ -118,7 +118,7 @@ pub mod prelude {
         QueueClass, SketchId, SketchSummary, WindowedTimeAverage, ARTIFACT_SCHEMA_VERSION,
     };
     pub use crate::rng::SimRng;
-    pub use crate::stats::{DurationHistogram, TimeSeries, TimeWeightedMean, Welford};
+    pub use crate::stats::{DurationHistogram, TimeSeries};
     pub use crate::time::{Clock, ManualClock, SimDuration, SimTime};
     pub use crate::trace::{Actor, LifecycleAnalysis, TraceEvent, TraceId, TraceKind, Tracer};
     pub use crate::units::Bandwidth;

@@ -2,11 +2,10 @@
 //!
 //! The paper's headline metric `E[c(t)]` is "the time average of the
 //! instantaneous system consistency over the entire lifetime of a system"
-//! (§2.1). [`WindowedTimeAverage`] integrates such a signal exactly —
-//! like [`crate::stats::TimeWeightedMean`] — and can additionally close
-//! fixed-width **sim-time windows**, yielding the bucketed
-//! `E[c(t)]`-per-window curve the Figure 8 style plots need without
-//! storing every sample.
+//! (§2.1). [`WindowedTimeAverage`] integrates such a signal exactly and
+//! can additionally close fixed-width **sim-time windows**, yielding the
+//! bucketed `E[c(t)]`-per-window curve the Figure 8 style plots need
+//! without storing every sample.
 
 use crate::time::{SimDuration, SimTime};
 

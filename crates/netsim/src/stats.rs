@@ -3,110 +3,12 @@
 //! The paper's metrics are time averages (average system consistency is
 //! "the time average of the instantaneous system consistency over the
 //! entire lifetime of a system", §2.1) and per-event averages (receive
-//! latency `T_rec`). [`TimeWeightedMean`] integrates a piecewise-constant
-//! signal exactly; [`Welford`] accumulates event samples numerically
-//! stably; [`DurationHistogram`] gives latency quantiles without storing
-//! every sample; [`TimeSeries`] records `c(t)` curves for the Figure 8
-//! style plots.
+//! latency `T_rec`). The time averages are
+//! [`crate::metrics::WindowedTimeAverage`]'s; here [`DurationHistogram`]
+//! gives latency quantiles without storing every sample and
+//! [`TimeSeries`] records `c(t)` curves for the Figure 8 style plots.
 
 use crate::time::{SimDuration, SimTime};
-
-/// Exact time average of a piecewise-constant signal.
-///
-/// Call [`TimeWeightedMean::update`] whenever the signal changes value; the
-/// previous value is integrated over the elapsed span. Query with
-/// [`TimeWeightedMean::mean_until`].
-#[derive(Clone, Debug)]
-pub struct TimeWeightedMean {
-    start: SimTime,
-    last_t: SimTime,
-    last_v: f64,
-    integral: f64,
-}
-
-impl TimeWeightedMean {
-    /// Starts integrating at `start` with initial signal value `v0`.
-    pub fn new(start: SimTime, v0: f64) -> Self {
-        TimeWeightedMean {
-            start,
-            last_t: start,
-            last_v: v0,
-            integral: 0.0,
-        }
-    }
-
-    /// Records that the signal takes value `v` from time `t` onward.
-    /// Panics if `t` precedes the previous update.
-    pub fn update(&mut self, t: SimTime, v: f64) {
-        let dt = t.since(self.last_t).as_secs_f64();
-        self.integral += self.last_v * dt;
-        self.last_t = t;
-        self.last_v = v;
-    }
-
-    /// The current signal value.
-    pub fn current(&self) -> f64 {
-        self.last_v
-    }
-
-    /// The time average over `[start, end]`. Returns `v0` for an empty span.
-    /// Panics if `end` precedes the last update.
-    pub fn mean_until(&self, end: SimTime) -> f64 {
-        let tail = end.since(self.last_t).as_secs_f64();
-        let total = end.since(self.start).as_secs_f64();
-        if total == 0.0 {
-            return self.last_v;
-        }
-        (self.integral + self.last_v * tail) / total
-    }
-}
-
-/// Welford's online mean/variance for event-driven samples.
-#[derive(Clone, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of samples so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
 
 /// A histogram of durations with geometric buckets, for latency quantiles.
 ///
@@ -268,55 +170,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_weighted_mean_exact() {
-        // Signal: 0 on [0,2), 1 on [2,3), 0.5 on [3,5].
-        let mut m = TimeWeightedMean::new(SimTime::ZERO, 0.0);
-        m.update(SimTime::from_secs(2), 1.0);
-        m.update(SimTime::from_secs(3), 0.5);
-        let avg = m.mean_until(SimTime::from_secs(5));
-        // integral = 0*2 + 1*1 + 0.5*2 = 2 over 5 seconds.
-        assert!((avg - 0.4).abs() < 1e-12, "{avg}");
-        assert_eq!(m.current(), 0.5);
-    }
-
-    #[test]
-    fn time_weighted_mean_empty_span() {
-        let m = TimeWeightedMean::new(SimTime::from_secs(1), 0.7);
-        assert_eq!(m.mean_until(SimTime::from_secs(1)), 0.7);
-    }
-
-    #[test]
-    fn time_weighted_mean_constant_signal() {
-        let mut m = TimeWeightedMean::new(SimTime::ZERO, 0.25);
-        m.update(SimTime::from_secs(4), 0.25);
-        assert!((m.mean_until(SimTime::from_secs(10)) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [1.0, 2.0, 4.0, 8.0, 16.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert_eq!(w.count(), 5);
-        assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.variance() - var).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_degenerate() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        w.push(3.0);
-        assert_eq!(w.mean(), 3.0);
-        assert_eq!(w.variance(), 0.0);
-    }
 
     #[test]
     fn histogram_mean_exact_and_quantiles_close() {

@@ -35,7 +35,7 @@ proptest! {
         steps in prop::collection::vec((1u64..1_000, 0.0f64..1.0), 1..50),
         tail in 1u64..1_000,
     ) {
-        let mut m = TimeWeightedMean::new(SimTime::ZERO, 0.0);
+        let mut m = WindowedTimeAverage::new(SimTime::ZERO, 0.0);
         let mut t = 0u64;
         let mut integral = 0.0;
         let mut prev_v = 0.0;

@@ -1175,7 +1175,7 @@ impl TracedWorld for Sim {
         &mut self.tracer
     }
 
-    fn event_label(ev: &Ev) -> &'static str {
+    fn event_label(&self, ev: &Ev) -> &'static str {
         match ev {
             Ev::AppArrival => "app-arrival",
             Ev::Lifetime(_) => "lifetime-end",
