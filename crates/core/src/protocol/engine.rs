@@ -201,6 +201,18 @@ fn purge_stale(queue: &mut VecDeque<Handle>, jobs: &LiveJobs, want: Loc) {
     }
 }
 
+/// Pops the next record still waiting in `queue` (skipping stale entries
+/// like [`purge_stale`]) and marks it on the wire.
+fn pop_waiting(queue: &mut VecDeque<Handle>, jobs: &mut LiveJobs, want: Loc) -> Option<Handle> {
+    while let Some(h) = queue.pop_front() {
+        if let Some(x) = jobs.job_mut(h).filter(|x| x.loc == want) {
+            x.loc = Loc::Serving;
+            return Some(h);
+        }
+    }
+    None
+}
+
 /// Scales the two rates into small integer scheduler weights (granularity
 /// 1/20 of the total), keeping round-robin-style policies like DRR from
 /// serving enormous bursts per class visit.
@@ -300,7 +312,7 @@ impl Sim {
         }
     }
 
-    /// Puts a (new, promoted or cycling) record at the hot queue's tail.
+    /// Puts a new or promoted record at the hot queue's tail.
     fn push_hot(&mut self, now: SimTime, h: Handle) {
         self.jobs.job_mut(h).expect("queued record is live").loc = Loc::Hot;
         self.queues[HOT].push_back(h);
@@ -318,8 +330,8 @@ impl Sim {
         self.kick(q);
     }
 
-    /// Puts `h`, just popped from queue `src`, on the wire of data server
-    /// `server` running at `rate`.
+    /// Puts `h`, just popped from queue `src` (and marked `Serving`), on
+    /// the wire of data server `server` running at `rate`.
     fn begin_service(
         &mut self,
         q: &mut EventQueue<Ev>,
@@ -333,7 +345,6 @@ impl Sim {
             self.note_backlogs(now);
         }
         self.busy[server] = true;
-        self.jobs.job_mut(h).expect("picked record is live").loc = Loc::Serving;
         let mut st = self.service.service_time(rate, &mut self.rng_service);
         // Bandwidth-degradation episodes stretch data serialization times
         // (the feedback channel is a separate path and is not degraded).
@@ -350,8 +361,7 @@ impl Sim {
         if self.busy[i] || self.mu[i] <= 0.0 {
             return;
         }
-        purge_stale(&mut self.queues[i], &self.jobs, waiting_in(src));
-        if let Some(h) = self.queues[i].pop_front() {
+        if let Some(h) = pop_waiting(&mut self.queues[i], &mut self.jobs, waiting_in(src)) {
             self.begin_service(q, h, src, i, self.mu[i]);
         }
     }
@@ -376,7 +386,8 @@ impl Sim {
         };
         sched.charge(class, 1);
         let src = if class == HOT { Src::Hot } else { Src::Cold };
-        let h = self.queues[class].pop_front().expect("backlog flag stale");
+        let h = pop_waiting(&mut self.queues[class], &mut self.jobs, waiting_in(src))
+            .expect("backlog flag stale");
         self.begin_service(q, h, src, 0, mu_data);
     }
 
@@ -408,11 +419,17 @@ impl Sim {
         let x = self.jobs.job_mut(h).expect("serving record is live");
         debug_assert_eq!(x.loc, Loc::Serving);
         let (id, was_consistent, doomed) = (x.id(), x.is_consistent(), x.doomed);
+        let had_nack = x.nack_pending;
         // The announcement of a promoted record (always a hot one: it
         // waited in the hot queue since) retransmits *because of* the
         // promotion: parent under it, completing the causal chain
-        // loss → NACK → promote → retransmit → install.
-        let promo = std::mem::take(&mut x.promoted);
+        // loss → NACK → promote → retransmit → install. With a NACK
+        // pending the link is that NACK's and stays for `nack_done`.
+        let promo = if had_nack {
+            TraceId::NONE
+        } else {
+            std::mem::take(&mut x.link)
+        };
         let (queue, tx_actor) = match src {
             Src::Hot => (QueueClass::Hot, Actor::HotServer),
             Src::Cold => (QueueClass::Cold, Actor::ColdServer),
@@ -466,9 +483,6 @@ impl Sim {
         self.transitions.record(outcome.transition);
         if outcome.delivers {
             self.jobs.deliver(now, h, tx_id);
-            let x = self.jobs.job_mut(h).expect("delivered record is live");
-            x.nack_pending = false;
-            x.nack_id = TraceId::NONE;
         }
         if !outcome.survives {
             self.jobs.kill(now, h);
@@ -478,8 +492,24 @@ impl Sim {
             Reentry::Served => src,
             Reentry::Cold => Src::Cold,
         };
+        // Receiver-side loss detection: NACK a missed record once. A loss
+        // caused by a fault episode is invisible to the receiver (it is
+        // partitioned or down), so no NACK — the cold cycle recovers it
+        // after the heal.
+        let nacks = self.fb.as_ref().is_some_and(|fb| {
+            should_nack(chan_lost, fault_lost, was_consistent, fb.mu > 0.0, had_nack)
+        });
+        let x = self.jobs.job_mut(h).expect("survivor is live");
+        x.loc = waiting_in(dest);
+        if outcome.delivers && had_nack {
+            // The record arrived: its outstanding NACK is moot.
+            x.nack_pending = false;
+            x.link = TraceId::NONE;
+        }
+        x.nack_pending |= nacks;
         if dest == Src::Hot {
-            self.push_hot(now, h);
+            self.queues[HOT].push_back(h);
+            self.note_backlogs(now);
         } else {
             if self.logs_demote && src == Src::Hot {
                 self.jobs.events().log(now, EventKind::Demote, id);
@@ -487,23 +517,10 @@ impl Sim {
                     .tracer()
                     .instant(now, Actor::ColdServer, TraceKind::Demote, id);
             }
-            self.jobs.job_mut(h).expect("survivor is live").loc = Loc::Cold;
             self.queues[COLD].push_back(h);
         }
-        // Receiver-side loss detection: NACK a missed record once. A loss
-        // caused by a fault episode is invisible to the receiver (it is
-        // partitioned or down), so no NACK — the cold cycle recovers it
-        // after the heal.
-        let Some(fb) = &mut self.fb else { return };
-        let x = self.jobs.job_mut(h).expect("survivor is live");
-        if should_nack(
-            chan_lost,
-            fault_lost,
-            was_consistent,
-            fb.mu > 0.0,
-            x.nack_pending,
-        ) {
-            x.nack_pending = true;
+        if nacks {
+            let fb = self.fb.as_mut().expect("NACK without a feedback channel");
             fb.queue.push_back(h);
             let c_generated = fb.c_generated;
             self.jobs.metrics().inc(c_generated);
@@ -517,7 +534,7 @@ impl Sim {
                 drop_id,
             );
             if nid.is_some() {
-                self.jobs.job_mut(h).expect("survivor is live").nack_id = nid;
+                self.jobs.job_mut(h).expect("survivor is live").link = nid;
             }
             self.note_backlogs(now);
         }
@@ -542,8 +559,13 @@ impl Sim {
         // the dedup state died with the slot, but the NACK still consumed
         // feedback bandwidth and the draw above still happened.
         let target = self.jobs.job_mut(h).map(|x| {
-            x.nack_pending = false;
-            let nid = std::mem::take(&mut x.nack_id);
+            // Without a pending NACK (a delivery or crash cleared it)
+            // the link is not this NACK's to take.
+            let nid = if std::mem::take(&mut x.nack_pending) {
+                std::mem::take(&mut x.link)
+            } else {
+                TraceId::NONE
+            };
             (x.id(), x.loc, x.is_consistent(), nid)
         });
         if chan_lost || fault_lost {
@@ -565,10 +587,7 @@ impl Sim {
                 nid,
             );
             if pid.is_some() {
-                self.jobs
-                    .job_mut(h)
-                    .expect("promoted record is live")
-                    .promoted = pid;
+                self.jobs.job_mut(h).expect("promoted record is live").link = pid;
             }
             self.push_hot(now, h);
         }
@@ -652,8 +671,9 @@ impl World for Sim {
                     self.jobs.wipe(q.now());
                     if self.fb.is_some() {
                         self.jobs.for_each_job_mut(|x| {
-                            x.nack_pending = false;
-                            x.nack_id = TraceId::NONE;
+                            if std::mem::take(&mut x.nack_pending) {
+                                x.link = TraceId::NONE;
+                            }
                         });
                     }
                 }

@@ -51,12 +51,16 @@ pub(crate) struct Job {
     pub(super) doomed: bool,
     /// A NACK is queued or in flight (receiver-side dedup).
     pub(super) nack_pending: bool,
-    /// Trace id of the pending NACK, so a later promotion can parent
-    /// under the NACK that caused it ([`TraceId::NONE`] when absent).
-    pub(super) nack_id: TraceId,
-    /// Trace id of the latest promotion, so the promoted hot
+    /// The trace event this record's next step in §5's repair chain is
+    /// caused by ([`TraceId::NONE`] when absent or untraced): while a
+    /// NACK is pending, that NACK, so the promotion it triggers parents
+    /// under it; after the promotion, the promotion, so the hot
     /// retransmission parents under it (NACK → promote → retransmit).
-    pub(super) promoted: TraceId,
+    /// One field serves both because the chain is sequential — a
+    /// promoted record waits in the hot queue, and only a completed
+    /// announcement can raise the next NACK — and the slot stays 40
+    /// bytes, which is most of a long unstable run's resident memory.
+    pub(super) link: TraceId,
 }
 
 impl Job {
@@ -199,8 +203,7 @@ impl LiveJobs {
             loc: Loc::Hot,
             doomed: false,
             nack_pending: false,
-            nack_id: TraceId::NONE,
-            promoted: TraceId::NONE,
+            link: TraceId::NONE,
         });
         self.live.push(h);
         self.registry.inc(self.c_arrivals);
