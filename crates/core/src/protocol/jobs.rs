@@ -427,6 +427,14 @@ pub struct JobStats {
 mod tests {
     use super::*;
 
+    /// `sim_timer`'s resident set is mostly these slots (≈ 27 k live
+    /// records in an unstable two-queue call): growing one is a memory
+    /// regression on the benchmark, so do it knowingly.
+    #[test]
+    fn record_slot_stays_40_bytes() {
+        assert_eq!(std::mem::size_of::<Job>(), 40);
+    }
+
     #[test]
     fn lifecycle_and_metrics() {
         let mut j = LiveJobs::new(SimTime::ZERO, None, 0, 0);
