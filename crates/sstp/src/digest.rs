@@ -105,10 +105,19 @@ enum HashState {
     Fnv64(u64),
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Bytes this thread has fed to [`Hasher::write`]: lets the namespace
+    /// tests pin how much a refresh hashes without timing anything.
+    pub(crate) static BYTES_HASHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl Hasher {
     /// Absorbs `data`.
     #[inline]
     pub fn write(&mut self, data: &[u8]) {
+        #[cfg(test)]
+        BYTES_HASHED.with(|n| n.set(n.get() + data.len() as u64));
         match &mut self.0 {
             HashState::Md5(s) => s.write(data),
             HashState::Fnv64(h) => *h = fnv1a64_fold(*h, data),

@@ -542,12 +542,7 @@ impl SstpSender {
                     if self.ns.is_leaf(node) {
                         continue;
                     }
-                    let entries = self
-                        .ns
-                        .summary_entries(node)
-                        .into_iter()
-                        .map(Into::into)
-                        .collect();
+                    let entries = self.ns.summary_entries(node);
                     let seq = self.bump_seq();
                     self.stats.node_summaries_tx += 1;
                     return Some(Packet::NodeSummary(NodeSummaryPacket {
@@ -979,7 +974,7 @@ mod tests {
                         return Some(Packet::NodeSummary(NodeSummaryPacket {
                             seq: self.seq - 1,
                             path,
-                            entries: entries.into_iter().map(Into::into).collect(),
+                            entries,
                         }));
                     }
                 }

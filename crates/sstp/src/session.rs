@@ -423,6 +423,7 @@ fn add_stats(a: ReceiverStats, b: ReceiverStats) -> ReceiverStats {
         uninterested_skips: a.uninterested_skips + b.uninterested_skips,
         expired: a.expired + b.expired,
         fragments_advanced: a.fragments_advanced + b.fragments_advanced,
+        structure_conflicts: a.structure_conflicts + b.structure_conflicts,
     }
 }
 

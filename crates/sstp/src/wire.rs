@@ -95,57 +95,9 @@ pub struct RootSummaryPacket {
     pub live_adus: u32,
 }
 
-/// One child slot's description inside a [`NodeSummaryPacket`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireChildEntry {
-    /// Tombstoned slot.
-    Dead {
-        /// The slot index.
-        slot: u16,
-    },
-    /// Interior child with its subtree digest.
-    Interior {
-        /// The slot index.
-        slot: u16,
-        /// Subtree digest.
-        digest: Digest,
-        /// Interest tag.
-        tag: MetaTag,
-    },
-    /// ADU child.
-    Leaf {
-        /// The slot index.
-        slot: u16,
-        /// The ADU's key.
-        key: Key,
-        /// Leaf digest.
-        digest: Digest,
-        /// Interest tag.
-        tag: MetaTag,
-    },
-}
-
-impl From<ChildEntry> for WireChildEntry {
-    fn from(e: ChildEntry) -> Self {
-        match e {
-            ChildEntry::Dead { slot } => WireChildEntry::Dead { slot },
-            ChildEntry::Interior { slot, digest, tag } => {
-                WireChildEntry::Interior { slot, digest, tag }
-            }
-            ChildEntry::Leaf {
-                slot,
-                key,
-                digest,
-                tag,
-            } => WireChildEntry::Leaf {
-                slot,
-                key,
-                digest,
-                tag,
-            },
-        }
-    }
-}
+/// One child slot's description inside a [`NodeSummaryPacket`]: what the
+/// namespace says about the slot is what goes on the wire.
+pub type WireChildEntry = ChildEntry;
 
 /// A repair response: the digests one level below `path`.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -233,16 +233,48 @@ fn apply_ops(ns: &mut Namespace, ops: &[Op]) {
     }
 }
 
-/// Hands `pkt` to a fresh receiver and to a sender holding a branch and a
-/// few records: whatever the decoder lets through, the endpoints take
-/// without panicking.
-fn endpoints_accept(pkt: &Packet) {
+/// A whole-ADU data packet for `key` at `parent_path`/`slot`.
+fn data_at(parent_path: &[u16], slot: u16, key: u64) -> Packet {
+    Packet::Data(DataPacket {
+        seq: 0,
+        key: Key(key),
+        version: 1,
+        parent_path: parent_path.to_vec(),
+        slot,
+        tag: MetaTag(0),
+        offset: 0,
+        payload_len: 10,
+        total_len: 10,
+    })
+}
+
+/// A receiver already mirroring a two-level tree: interiors in the
+/// root's slots 0 and 1 with ADUs under them, an ADU in slot 2.
+fn populated_receiver() -> SstpReceiver {
     let mut rx = SstpReceiver::new(
         ReceiverConfig::unicast(0, HashAlgorithm::Fnv64),
         SimRng::new(1),
     );
-    rx.on_packet(SimTime::from_secs(1), pkt);
-    let _ = rx.poll_feedback(SimTime::from_secs(2));
+    for (path, slot, key) in [(&[0][..], 0, 0), (&[0], 1, 1), (&[1], 0, 2), (&[], 2, 3)] {
+        rx.on_packet(SimTime::ZERO, &data_at(path, slot, key));
+    }
+    assert_eq!(rx.stats().structure_conflicts, 0);
+    rx
+}
+
+/// Hands `pkt` to a fresh receiver, to one already mirroring a tree, and
+/// to a sender holding a branch and a few records: whatever the decoder
+/// lets through, the endpoints take without panicking.
+fn endpoints_accept(pkt: &Packet) {
+    let fresh = SstpReceiver::new(
+        ReceiverConfig::unicast(0, HashAlgorithm::Fnv64),
+        SimRng::new(1),
+    );
+    for mut rx in [fresh, populated_receiver()] {
+        rx.on_packet(SimTime::from_secs(1), pkt);
+        let _ = rx.poll_feedback(SimTime::from_secs(2));
+        let _ = rx.fingerprint();
+    }
     let mut tx = SstpSender::new(HashAlgorithm::Fnv64, 100);
     let branch = tx.add_branch(tx.root(), MetaTag(1));
     for parent in [tx.root(), branch, branch] {
@@ -293,6 +325,46 @@ proptest! {
         prop_assert_eq!(&decoded, &Packet::decode(bytes::Bytes::copy_from_slice(&bytes)));
         if let Ok(pkt) = decoded {
             endpoints_accept(&pkt);
+        }
+    }
+
+    /// Random packets seldom name a node the mirror holds, so aim: data
+    /// and summaries over the few paths, slots and keys of a populated
+    /// mirror, most of them contradicting it. Nothing panics, a refused
+    /// packet leaves the mirror as it was, and what is left still answers
+    /// a digest read and passes the receiver's own check.
+    #[test]
+    fn populated_mirror_is_total_on_conflicting_structure(
+        pkts in prop::collection::vec(
+            (any::<bool>(), 0usize..6, 0u16..4, 0u64..6, 0u8..3),
+            1..40,
+        ),
+    ) {
+        const PATHS: [&[u16]; 6] = [&[], &[0], &[1], &[2], &[0, 1], &[2, 0, 1]];
+        let mut rx = populated_receiver();
+        for (is_data, path, slot, key, kind) in pkts {
+            let pkt = if is_data {
+                data_at(PATHS[path], slot, key)
+            } else {
+                let digest = Digest::from_u64(key);
+                let tag = MetaTag(0);
+                Packet::NodeSummary(NodeSummaryPacket {
+                    seq: 0,
+                    path: PATHS[path].to_vec(),
+                    entries: vec![match kind {
+                        0 => WireChildEntry::Dead { slot },
+                        1 => WireChildEntry::Interior { slot, digest, tag },
+                        _ => WireChildEntry::Leaf { slot, key: Key(key), digest, tag },
+                    }],
+                })
+            };
+            let before = (rx.stats().structure_conflicts, rx.fingerprint());
+            rx.on_packet(SimTime::from_secs(1), &pkt);
+            let _ = rx.poll_feedback(SimTime::from_secs(2));
+            if is_data && rx.stats().structure_conflicts > before.0 {
+                prop_assert_eq!(rx.fingerprint(), before.1, "a refused {:?} changed the receiver", pkt);
+            }
+            prop_assert_eq!(rx.self_check(), Ok(()));
         }
     }
 
@@ -514,6 +586,37 @@ proptest! {
             prop_assert_eq!(ns.root_digest().len(), algo.digest_len());
         }
     }
+}
+
+/// Nodes of up to 16 slots (`namespace::STRIDE`) keep no hash checkpoint,
+/// so a tree of them — every `ss-verify` state, cloned once per transition
+/// — pays nothing for the checkpointed refresh: the first digest read
+/// allocates nothing and a clone allocates what it did before the read.
+/// One slot more and the node holds a checkpoint table entry.
+#[test]
+fn narrow_namespaces_hold_no_checkpoint_allocations() {
+    let clone_allocs =
+        |ns: &Namespace| allocations_during(|| drop(std::hint::black_box(ns.clone())));
+    let mut ns = Namespace::new(HashAlgorithm::Md5);
+    let mut last = ns.root();
+    for b in 0..16u64 {
+        last = ns.add_interior(ns.root(), MetaTag(0));
+        for k in 0..16 {
+            ns.add_adu(last, Key(b * 16 + k), MetaTag(0));
+        }
+    }
+    let unread = clone_allocs(&ns);
+    let first_read = allocations_during(|| {
+        std::hint::black_box(ns.root_digest());
+    });
+    assert_eq!(first_read, 0);
+    assert_eq!(clone_allocs(&ns), unread);
+
+    ns.add_adu(last, Key(1_000), MetaTag(0));
+    let unread = clone_allocs(&ns);
+    ns.root_digest();
+    // The table and the one node's checkpoints.
+    assert_eq!(clone_allocs(&ns), unread + 2);
 }
 
 /// A sender with `keys` records under `parent_of(tx)`, hot queue drained,
