@@ -13,8 +13,8 @@
 //! Rules (see `DESIGN.md`, "Determinism invariants", for the rationale):
 //!
 //! - **D001** — no `std::time::Instant` / `std::time::SystemTime` outside
-//!   the allowlist (`crates/sstp/src/udp.rs`, anything under a `tests/`
-//!   directory). Wall clocks make runs time-dependent.
+//!   the allowlist (`crates/sstp/src/runtime/mod.rs`, anything under a
+//!   `tests/` directory). Wall clocks make runs time-dependent.
 //! - **D002** — no `HashMap` / `HashSet` in the simulation crates
 //!   (`core`, `netsim`, `sched`, `queueing`, `sstp`). Hash iteration
 //!   order is randomized per-process; ordered collections (`BTreeMap`,
@@ -51,7 +51,7 @@
 //! - **D011** — no raw `thread::sleep` in `sstp` non-test code. Fixed
 //!   sleeps are busy-polls in disguise: they burn CPU when idle and add
 //!   latency when busy. Compute the next protocol deadline and block on
-//!   the socket with `runtime::wait::wait_for_datagram` instead.
+//!   the socket with `Runtime::wait` instead.
 //!
 //! A line may opt out of one or more rules with an annotation on the same
 //! line or the line directly above:
@@ -264,14 +264,12 @@ const IO_IDENTS: [&str; 14] = [
     "Command",
 ];
 
-/// Files allowed to read the wall clock (D001): the real-socket UDP
-/// bridge and the runtime's clock boundary need actual time, and test
-/// harnesses may time themselves. Everything else in the runtime module
-/// tree (pacing, shed, supervision, mux) is pure `SimTime` code and gets
-/// no exemption.
+/// Files allowed to read the wall clock (D001): the runtime's clock
+/// boundary needs actual time, and test harnesses may time themselves.
+/// Everything else in the runtime module tree (pacing, shed, supervision,
+/// mux) is pure `SimTime` code and gets no exemption.
 fn d001_allowed(path: &str) -> bool {
-    path == "crates/sstp/src/udp.rs"
-        || path == "crates/sstp/src/runtime/mod.rs"
+    path == "crates/sstp/src/runtime/mod.rs"
         || path.starts_with("tests/")
         || path.contains("/tests/")
 }
@@ -780,7 +778,7 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 line: line_no,
                 rule: "D011",
                 message: "thread::sleep in sstp non-test code; compute the next protocol \
-                     deadline and block with runtime::wait::wait_for_datagram"
+                     deadline and block with Runtime::wait"
                     .to_string(),
             });
         }
@@ -1129,7 +1127,7 @@ mod tests {
     fn d011_flags_sleep_in_sstp_non_test_code_only() {
         let src = "fn spin() { std::thread::sleep(Duration::from_millis(1)); }\n";
         assert_eq!(
-            scan_source("crates/sstp/src/udp.rs", src)
+            scan_source("crates/sstp/src/runtime/shed.rs", src)
                 .iter()
                 .map(|d| d.rule)
                 .collect::<Vec<_>>(),
@@ -1140,14 +1138,14 @@ mod tests {
         // Test modules are exempt (scanning stops at #[cfg(test)]).
         let src =
             "fn ok() {}\n#[cfg(test)]\nmod tests {\n    fn s() { std::thread::sleep(D); }\n}\n";
-        assert!(scan_source("crates/sstp/src/udp.rs", src).is_empty());
+        assert!(scan_source("crates/sstp/src/runtime/shed.rs", src).is_empty());
         // `sleep` must match as a whole token.
         let src = "fn f(sleep_budget: u64) -> u64 { sleep_budget }\n";
-        assert!(scan_source("crates/sstp/src/udp.rs", src).is_empty());
+        assert!(scan_source("crates/sstp/src/runtime/shed.rs", src).is_empty());
         // A reasoned allow suppresses.
         let src = "// lint: allow(D011, startup settle before first bind retry)\n\
                    fn s() { std::thread::sleep(D); }\n";
-        assert!(scan_source("crates/sstp/src/udp.rs", src).is_empty());
+        assert!(scan_source("crates/sstp/src/runtime/shed.rs", src).is_empty());
     }
 
     #[test]

@@ -27,10 +27,12 @@ fn d001_flags_wall_clocks_with_exact_lines() {
 }
 
 #[test]
-fn d001_allowlist_exempts_udp_bridge_and_tests() {
+fn d001_allowlist_exempts_runtime_clock_and_tests() {
     let src = include_str!("fixtures/d001_wall_clock.rs");
-    assert!(hits("crates/sstp/src/udp.rs", src).is_empty());
+    assert!(hits("crates/sstp/src/runtime/mod.rs", src).is_empty());
     assert!(hits("tests/some_harness.rs", src).is_empty());
+    // The socket file gets no exemption.
+    assert!(!hits("crates/sstp/src/runtime/mux.rs", src).is_empty());
 }
 
 #[test]

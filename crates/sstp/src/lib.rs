@@ -20,12 +20,12 @@
 //!   feedback suppression for multicast.
 //! * [`session`] — the end-to-end simulated session (1 sender,
 //!   N receivers, lossy rate-limited channels, adaptation loop).
-//! * [`udp`] — the same endpoints bound to real `std::net` UDP sockets
-//!   with a wall clock and token-bucket budget (loopback-tested).
-//! * [`runtime`] — the production-shaped multi-session runtime: many
+//! * [`runtime`] — the same endpoints on real `std::net` UDP sockets, with
+//!   a wall clock: the production-shaped multi-session runtime, many
 //!   sessions multiplexed over one socket with bounded queues,
 //!   per-session rate limiting, liveness supervision with capped
-//!   exponential re-probes, and shed-cold-first graceful degradation.
+//!   exponential re-probes, and shed-cold-first graceful degradation. A
+//!   single publisher/subscriber pair is a runtime holding one session.
 //!
 //! ## Example: one repaired unicast exchange
 //!
@@ -75,7 +75,6 @@ pub mod reports;
 pub mod runtime;
 pub mod sender;
 pub mod session;
-pub mod udp;
 pub mod wire;
 
 pub use allocator::{Allocation, Allocator, AllocatorConfig, BandwidthSource};

@@ -39,13 +39,16 @@
 //! bit-for-bit are driven here by a [`WallClock`] mapping real instants
 //! onto the [`SimTime`] axis. The runtime adds scheduling only — no
 //! protocol logic lives in this module tree, and everything except this
-//! file and the socket wait primitive is itself pure and deterministic.
+//! file (the wall clock) and [`mux`] (the socket) is itself pure and
+//! deterministic.
 //!
 //! Single-threaded by design: one [`Runtime`] is one poll loop
 //! ([`Runtime::poll`] returns the next wake-up deadline;
-//! [`Runtime::run_for`] drives it with the deadline-aware socket wait
-//! from [`wait`]). Scale across cores by running several runtimes, each
-//! owning its own socket.
+//! [`Runtime::run_for`] drives it with the deadline-aware socket wait,
+//! [`Runtime::wait`]). Scale across cores by running several runtimes,
+//! each owning its own socket. A runtime holding one publisher session,
+//! peered with one holding one subscriber session, is the plain
+//! single-pair binding of the endpoints to UDP.
 //!
 //! The loop is **event-driven**: a poll costs O(ready + due), not
 //! O(sessions), so an idle session costs its refresh timers and nothing
@@ -66,7 +69,6 @@ pub mod mux;
 pub mod pacing;
 pub mod shed;
 pub mod supervisor;
-pub mod wait;
 
 use crate::digest::HashAlgorithm;
 use crate::receiver::{ReceiverConfig, SstpReceiver};
@@ -81,7 +83,7 @@ use ss_netsim::{
 };
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 use supervisor::{Supervisor, SupervisorConfig};
 
@@ -90,8 +92,8 @@ use supervisor::{Supervisor, SupervisorConfig};
 /// The runtime's counterpart of the sim's virtual clock: `SimTime::ZERO`
 /// is the instant the clock was created, and every protocol deadline is
 /// computed on the `SimTime` axis so the state machines cannot tell the
-/// difference. This is the **only** place (plus `sstp::udp`) where the
-/// workspace reads a wall clock — ss-lint's D001 enforces that.
+/// difference. This is the **only** place where the workspace reads a
+/// wall clock — ss-lint's D001 enforces that.
 #[derive(Clone, Copy, Debug)]
 pub struct WallClock {
     epoch: Instant,
@@ -148,9 +150,9 @@ pub struct RuntimeConfig {
     pub outbox_cold_watermark: usize,
     /// Liveness supervision knobs.
     pub supervisor: SupervisorConfig,
-    /// Test hook: drop arriving datagrams by this loss process, drawn
-    /// from a **dedicated** seeded stream (the batched-draw contract —
-    /// see `sstp::udp`).
+    /// Test hook: drop arriving frames by this loss process, drawn from a
+    /// **dedicated** seeded stream (the batched-draw contract — see
+    /// [`LossSpec::build_batched`]).
     pub ingress_loss: LossSpec,
     /// Seed for the ingress-drop stream and the supervisor jitter.
     pub seed: u64,
@@ -235,6 +237,7 @@ struct Ids {
     routed: CounterId,
     egress_drops: CounterId,
     decode_errors: CounterId,
+    structure_conflicts: CounterId,
     unknown_session: CounterId,
     throttled: CounterId,
     probes: CounterId,
@@ -261,6 +264,7 @@ struct Synced {
     egress_frames: u64,
     egress_drops: u64,
     decode_errors: u64,
+    structure_conflicts: u64,
     probes: u64,
     heals: u64,
 }
@@ -301,6 +305,9 @@ pub struct Runtime {
     throttled: u64,
     /// Inbox refusals, all sessions ever installed.
     backpressure: u64,
+    /// Structure conflicts counted by subscriber sessions since crashed
+    /// (the live ones keep their own count).
+    crashed_conflicts: u64,
     polls: u64,
     sessions_stepped: u64,
     timers_fired: u64,
@@ -327,6 +334,7 @@ impl Runtime {
         let routed = metrics.counter("runtime.ingress.routed");
         let egress_drops = metrics.counter("runtime.egress.drops");
         let decode_errors = metrics.counter("runtime.decode.errors");
+        let structure_conflicts = metrics.counter("runtime.rx.structure_conflicts");
         let unknown_session = metrics.counter("runtime.route.unknown");
         let throttled = metrics.counter("runtime.throttled");
         let probes = metrics.counter("runtime.probe.sent");
@@ -351,6 +359,7 @@ impl Runtime {
             routed,
             egress_drops,
             decode_errors,
+            structure_conflicts,
             unknown_session,
             throttled,
             probes,
@@ -391,6 +400,7 @@ impl Runtime {
             routed: 0,
             throttled: 0,
             backpressure: 0,
+            crashed_conflicts: 0,
             polls: 0,
             sessions_stepped: 0,
             timers_fired: 0,
@@ -416,11 +426,11 @@ impl Runtime {
         self.clock.now()
     }
 
-    /// A handle to the socket for waiting on readability *outside* any
-    /// lock guarding the runtime (the soak harness blocks on the clone
-    /// while other threads publish).
-    pub fn try_clone_socket(&self) -> io::Result<UdpSocket> {
-        self.mux.socket().try_clone()
+    /// Blocks until a datagram reaches this runtime's socket or `timeout`
+    /// elapses (at most 50 ms): `Ok(true)` when one is waiting for the
+    /// next [`Runtime::poll`]. See [`SocketMux::wait`].
+    pub fn wait(&self, timeout: Duration) -> io::Result<bool> {
+        self.mux.wait(timeout)
     }
 
     /// Installs a fault schedule to replay as real socket-level drops at
@@ -497,12 +507,16 @@ impl Runtime {
                 if dead.ready {
                     self.ready.retain(|&r| r != sid);
                 }
-                if let Endpoint::Publisher {
-                    awaiting_cold: true,
-                    ..
-                } = dead.endpoint
-                {
-                    self.cold_queue.retain(|&q| q != sid);
+                match dead.endpoint {
+                    Endpoint::Publisher {
+                        awaiting_cold: true,
+                        ..
+                    } => self.cold_queue.retain(|&q| q != sid),
+                    Endpoint::Publisher { .. } => {}
+                    // What the dead receiver counted outlives it.
+                    Endpoint::Subscriber { receiver, .. } => {
+                        self.crashed_conflicts += receiver.stats().structure_conflicts;
+                    }
                 }
             }
             self.supervisor.crash(sid);
@@ -653,14 +667,14 @@ impl Runtime {
     /// Drives the poll loop for `duration`, sleeping each iteration until
     /// the earliest protocol deadline or the first arriving datagram —
     /// the deadline-aware wait that replaced the fixed-interval sleep
-    /// loops (see [`wait::wait_for_datagram`]).
+    /// loops (see [`Runtime::wait`]).
     pub fn run_for(&mut self, duration: Duration) -> io::Result<()> {
         let end = self.clock.now() + SimDuration::from_micros(duration.as_micros() as u64);
         while self.clock.now() < end {
             let deadline = self.poll()?.min(end);
             let timeout = self.clock.until(deadline);
             if !timeout.is_zero() {
-                wait::wait_for_datagram(self.mux.socket(), timeout)?;
+                self.wait(timeout)?;
             }
         }
         Ok(())
@@ -941,8 +955,10 @@ impl Runtime {
     /// Folds counter deltas from every component into the registry.
     /// Counters are registered once in `bind`; this keeps the registry
     /// monotone without threading metric ids through the components.
-    /// Every source is a running total, so this is O(1) and only
-    /// [`Runtime::metrics_snapshot`] needs to run it.
+    /// Every source is a running total — the receivers' structure
+    /// conflicts are one summed over the live subscribers here — so only
+    /// [`Runtime::metrics_snapshot`] needs to run it, and no per-packet
+    /// path pays for any of it.
     fn sync_metrics(&mut self) {
         let m = self.mux.stats();
         let shed = self.outbox.stats();
@@ -952,7 +968,16 @@ impl Runtime {
             .as_ref()
             .map(|f| f.data_drops() + f.feedback_drops())
             .unwrap_or(0);
-        let adds: [(CounterId, u64, &mut u64); 12] = [
+        let live_conflicts: u64 = self
+            .sessions
+            .iter()
+            .flatten()
+            .map(|slot| match &slot.endpoint {
+                Endpoint::Subscriber { receiver, .. } => receiver.stats().structure_conflicts,
+                Endpoint::Publisher { .. } => 0,
+            })
+            .sum();
+        let adds: [(CounterId, u64, &mut u64); 13] = [
             (
                 self.ids.backpressure,
                 self.backpressure,
@@ -987,6 +1012,11 @@ impl Runtime {
                 m.decode_errors,
                 &mut self.synced.decode_errors,
             ),
+            (
+                self.ids.structure_conflicts,
+                self.crashed_conflicts + live_conflicts,
+                &mut self.synced.structure_conflicts,
+            ),
             (self.ids.probes, sup.probes, &mut self.synced.probes),
             (self.ids.heals, sup.heals, &mut self.synced.heals),
         ];
@@ -1013,5 +1043,21 @@ impl Runtime {
         ] {
             self.metrics.set_gauge(id, value as f64);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wall_clock_is_monotone() {
+        let c = WallClock::start();
+        let a = c.now();
+        std::thread::sleep(Duration::from_millis(2));
+        let b = c.now();
+        assert!(b > a);
+        // `until` a past instant saturates to zero.
+        assert_eq!(c.until(a), Duration::ZERO);
     }
 }

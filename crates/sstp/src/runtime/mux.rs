@@ -16,16 +16,22 @@
 //! decode costs itself only (its `len` says where the next one starts),
 //! a header that runs past the datagram's end discards the rest.
 //!
-//! The mux owns the socket and the frame codec; the runtime owns routing
-//! (frame → per-session bounded inbox) and all ingress drop accounting,
-//! so every frame either reaches a state machine or increments a counter
-//! — never an unbounded queue, never a panic.
+//! The mux owns the socket (the library's only one), the frame codec and
+//! the deadline wait; the runtime owns routing (frame → per-session
+//! bounded inbox) and all ingress drop accounting, so every frame either
+//! reaches a state machine or increments a counter — never an unbounded
+//! queue, never a panic.
 
 use crate::wire::{Packet, WireError, HEADER_OVERHEAD};
 use bytes::{BufMut, BytesMut};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::time::Duration;
+
+/// The longest a single [`SocketMux::wait`] may block: later deadlines
+/// are reached by waking and re-waiting.
+const MAX_WAIT: Duration = Duration::from_millis(50);
 
 /// Bytes the frame header (session id, packet length) adds to each wire
 /// packet.
@@ -265,10 +271,32 @@ impl SocketMux {
         self.peer = peer;
     }
 
-    /// The underlying socket (for `try_clone` so a waiter can block on
-    /// readability without holding the runtime lock).
-    pub fn socket(&self) -> &UdpSocket {
-        &self.socket
+    /// Blocks until a datagram is readable or `timeout` elapses: callers
+    /// wait exactly until their next protocol deadline and wake early for
+    /// traffic, never spinning on a fixed interval. `Ok(true)` when a
+    /// datagram is waiting — peeked, **not** consumed, so
+    /// [`SocketMux::recv`] still sees it — `Ok(false)` on timeout; the
+    /// socket is nonblocking again either way. The timeout is clamped into
+    /// `[1µs, 50ms]`: zero would mean "block forever" to
+    /// `set_read_timeout`, and a long wait would miss deadline changes.
+    pub fn wait(&self, timeout: Duration) -> io::Result<bool> {
+        let timeout = timeout.clamp(Duration::from_micros(1), MAX_WAIT);
+        self.socket.set_nonblocking(false)?;
+        self.socket.set_read_timeout(Some(timeout))?;
+        let mut probe = [0u8; 1];
+        let res = self.socket.peek_from(&mut probe);
+        // Restore nonblocking before interpreting the result so an early
+        // return can never leave the socket blocking.
+        self.socket.set_nonblocking(true)?;
+        match res {
+            Ok(_) => Ok(true),
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Decodes the next waiting frame: the next of the datagram last
@@ -372,6 +400,16 @@ mod tests {
     use crate::namespace::MetaTag;
     use crate::wire::{NodeSummaryPacket, RepairQueryPacket, WireChildEntry};
     use softstate::Key;
+    use std::time::Instant;
+
+    fn any() -> SocketAddr {
+        "127.0.0.1:0".parse().unwrap()
+    }
+
+    /// A bare socket, for datagrams no mux would send.
+    fn raw() -> UdpSocket {
+        UdpSocket::bind(any()).unwrap()
+    }
 
     fn query(path: Vec<u16>) -> Packet {
         Packet::RepairQuery(RepairQueryPacket { path })
@@ -397,9 +435,8 @@ mod tests {
 
     /// Two muxes on loopback, the first targeting the second.
     fn pair() -> (SocketMux, SocketMux) {
-        let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let rx = SocketMux::bind(any, any).unwrap();
-        let tx = SocketMux::bind(any, rx.local_addr().unwrap()).unwrap();
+        let rx = SocketMux::bind(any(), any()).unwrap();
+        let tx = SocketMux::bind(any(), rx.local_addr().unwrap()).unwrap();
         (tx, rx)
     }
 
@@ -537,7 +574,7 @@ mod tests {
     /// header — through the socket: the counters say what happened.
     #[test]
     fn recv_counts_frames_and_errors() {
-        let (tx, mut rx) = pair();
+        let (tx, mut rx) = (raw(), SocketMux::bind(any(), any()).unwrap());
         let mut buf = BytesMut::new();
         assert!(append_frame(1, &query(vec![1]), &mut buf));
         buf.put_u32(2);
@@ -546,8 +583,8 @@ mod tests {
         assert!(append_frame(3, &query(vec![3]), &mut buf));
         buf.extend_from_slice(&[0, 0, 0]);
         let to = rx.local_addr().unwrap();
-        tx.socket().send_to(&buf, to).unwrap();
-        tx.socket().send_to(&[], to).unwrap();
+        tx.send_to(&buf, to).unwrap();
+        tx.send_to(&[], to).unwrap();
         let got = drain(&mut rx);
         assert_eq!(got.iter().filter(|f| f.is_ok()).count(), 2);
         let seen = rx.stats();
@@ -555,6 +592,42 @@ mod tests {
             (seen.datagrams_rx, seen.frames_rx, seen.decode_errors),
             (2, 5, 3)
         );
+    }
+
+    #[test]
+    fn wait_times_out_without_traffic() {
+        let mux = SocketMux::bind(any(), any()).unwrap();
+        let start = Instant::now();
+        assert!(!mux.wait(Duration::from_millis(20)).unwrap());
+        let waited = start.elapsed();
+        assert!(
+            waited >= Duration::from_millis(15),
+            "returned too early: {waited:?}"
+        );
+        // And the socket is back to nonblocking.
+        let mut buf = [0u8; 8];
+        assert_eq!(
+            mux.socket.recv_from(&mut buf).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
+    }
+
+    #[test]
+    fn wait_wakes_on_datagram_without_consuming_it() {
+        let (mut tx, mut rx) = pair();
+        tx.send(9, &query(vec![9])).unwrap();
+        assert!(rx.wait(Duration::from_millis(500)).unwrap());
+        // The datagram is still there for the normal receive path.
+        let frame = rx.recv().unwrap().expect("a datagram").unwrap();
+        assert_eq!((frame.session, frame.pkt), (9, query(vec![9])));
+    }
+
+    #[test]
+    fn wait_clamps_long_timeouts() {
+        let mux = SocketMux::bind(any(), any()).unwrap();
+        let start = Instant::now();
+        assert!(!mux.wait(Duration::from_secs(3600)).unwrap());
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

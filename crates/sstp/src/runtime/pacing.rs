@@ -15,11 +15,10 @@ use std::collections::BinaryHeap;
 
 /// A byte token bucket enforcing a bandwidth budget.
 ///
-/// Tokens are bits; the bucket holds at most one second of burst. Unlike
-/// the pre-runtime `sstp::udp` bucket this one never reads a clock: the
-/// caller supplies `now` on every operation, which is what lets the
-/// runtime compute exact wake-up deadlines ([`TokenBucket::eta`])
-/// instead of busy-polling.
+/// Tokens are bits; the bucket holds at most one second of burst. It never
+/// reads a clock: the caller supplies `now` on every operation, which is
+/// what lets the runtime compute exact wake-up deadlines
+/// ([`TokenBucket::eta`]) instead of busy-polling.
 #[derive(Clone, Debug)]
 pub struct TokenBucket {
     rate_bps: f64,

@@ -288,7 +288,7 @@ proptest! {
     /// The decoder never panics on arbitrary bytes — it either parses a
     /// packet or returns an error — reading a slice or a `Bytes` alike,
     /// and what it parses the endpoints accept. (The runtime mux decodes
-    /// received frames in place; `sstp::udp` decodes whole datagrams.)
+    /// received frames in place.)
     #[test]
     fn decoder_is_total_on_garbage(
         mut bytes in prop::collection::vec(any::<u8>(), 0..512),

@@ -71,7 +71,6 @@ fn bind_nodes(n: usize, seed: u64) -> (Runtime, Runtime, Vec<u32>) {
 /// until the earlier of the two nodes' protocol deadlines or the first
 /// datagram landing on the subscriber socket.
 fn drive(pub_rt: &mut Runtime, sub_rt: &mut Runtime, wall: Duration) {
-    let sub_sock = sub_rt.try_clone_socket().expect("clone subscriber socket");
     let end = Instant::now() + wall;
     while Instant::now() < end {
         let da = pub_rt.poll().expect("publisher poll");
@@ -82,7 +81,7 @@ fn drive(pub_rt: &mut Runtime, sub_rt: &mut Runtime, wall: Duration) {
         let timeout = hint
             .min(Duration::from_millis(5))
             .max(Duration::from_micros(200));
-        sstp::runtime::wait::wait_for_datagram(&sub_sock, timeout).expect("wait");
+        sub_rt.wait(timeout).expect("wait");
     }
 }
 

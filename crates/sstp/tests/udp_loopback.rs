@@ -1,15 +1,19 @@
 //! SSTP over real UDP on loopback: the sans-I/O endpoints driven by wall
-//! clocks and actual sockets. Loss is injected deterministically at the
-//! receiving side so repair paths run even on a lossless loopback.
+//! clocks and actual sockets, as a one-publisher-session [`Runtime`]
+//! peered with a one-subscriber-session one. Loss is injected
+//! deterministically at the subscriber's ingress so repair paths run even
+//! on a lossless loopback.
 //!
 //! Timing bounds are generous (seconds of budget for sub-second
 //! convergence) to stay robust on loaded CI machines.
 
+use softstate::Key;
 use ss_netsim::{LossSpec, SimDuration};
 use sstp::digest::HashAlgorithm;
 use sstp::namespace::MetaTag;
-use sstp::receiver::ReceiverConfig;
-use sstp::udp::{UdpConfig, UdpPublisher, UdpSubscriber};
+use sstp::receiver::{ReceiverConfig, SstpReceiver};
+use sstp::runtime::{Runtime, RuntimeConfig};
+use sstp::sender::SstpSender;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -17,102 +21,139 @@ fn any_loopback() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()
 }
 
-/// Builds a connected publisher/subscriber pair on ephemeral ports. The
-/// subscriber's inbound datagrams pass through the given loss process
-/// (the same `LossSpec` the simulator channels use).
-fn connected_pair(ingress_loss: LossSpec, seed: u64) -> (UdpPublisher, UdpSubscriber) {
-    let placeholder = any_loopback();
-    let mut pub_cfg = UdpConfig::loopback(any_loopback(), placeholder);
-    pub_cfg.summary_interval = Duration::from_millis(50);
-    let mut publisher =
-        UdpPublisher::bind(&pub_cfg, HashAlgorithm::Fnv64, 400).expect("bind publisher");
-
-    let mut sub_cfg = UdpConfig::loopback(any_loopback(), publisher.local_addr().unwrap());
-    sub_cfg.ingress_loss = ingress_loss;
-    sub_cfg.seed = seed;
-    sub_cfg.report_interval = Duration::from_millis(100);
-    sub_cfg.expiry_interval = Duration::from_millis(100);
-    let mut rcfg = ReceiverConfig::unicast(0, HashAlgorithm::Fnv64);
-    rcfg.ttl = SimDuration::from_secs(3600);
-    rcfg.repair_backoff = SimDuration::from_millis(60);
-    let subscriber = UdpSubscriber::bind(&sub_cfg, rcfg).expect("bind subscriber");
-
-    publisher.set_peer(subscriber.local_addr().unwrap());
-    (publisher, subscriber)
+/// A publisher node and a subscriber node on ephemeral ports, one session
+/// each (session 0 on both). The subscriber's inbound frames pass through
+/// the given loss process (the same `LossSpec` the simulator channels
+/// use).
+struct Pair {
+    publisher: Runtime,
+    subscriber: Runtime,
 }
 
-/// Drives both ends until the subscriber holds `want` keys or `budget`
-/// elapses; returns whether it converged.
-fn drive_until(
-    publisher: &mut UdpPublisher,
-    subscriber: &mut UdpSubscriber,
-    want: usize,
-    budget: Duration,
-) -> bool {
-    let end = Instant::now() + budget;
-    while Instant::now() < end {
-        publisher.poll().expect("publisher poll");
-        subscriber.poll().expect("subscriber poll");
-        if subscriber.receiver().replica().len() >= want {
-            return true;
+impl Pair {
+    fn connected(ingress_loss: LossSpec, seed: u64) -> Self {
+        let mut pub_cfg = RuntimeConfig::loopback(any_loopback(), any_loopback());
+        pub_cfg.summary_interval = SimDuration::from_millis(50);
+        let mut publisher = Runtime::bind(pub_cfg).expect("bind publisher");
+
+        let mut sub_cfg = RuntimeConfig::loopback(any_loopback(), publisher.local_addr().unwrap());
+        sub_cfg.ingress_loss = ingress_loss;
+        sub_cfg.seed = seed;
+        sub_cfg.report_interval = SimDuration::from_millis(100);
+        sub_cfg.expiry_interval = SimDuration::from_millis(100);
+        let mut subscriber = Runtime::bind(sub_cfg).expect("bind subscriber");
+        publisher.set_peer(subscriber.local_addr().unwrap());
+
+        let mut rcfg = ReceiverConfig::unicast(0, HashAlgorithm::Fnv64);
+        rcfg.ttl = SimDuration::from_secs(3600);
+        rcfg.repair_backoff = SimDuration::from_millis(60);
+        assert_eq!(publisher.add_publisher(HashAlgorithm::Fnv64, 400), 0);
+        assert_eq!(subscriber.add_subscriber(rcfg), 0);
+        Pair {
+            publisher,
+            subscriber,
         }
-        std::thread::sleep(Duration::from_millis(1));
     }
-    false
+
+    fn sender(&self) -> &SstpSender {
+        self.publisher.publisher(0).unwrap()
+    }
+
+    fn sender_mut(&mut self) -> &mut SstpSender {
+        self.publisher.publisher_mut(0).unwrap()
+    }
+
+    fn receiver(&self) -> &SstpReceiver {
+        self.subscriber.subscriber(0).unwrap()
+    }
+
+    /// Publishes `n` records under the root.
+    fn publish(&mut self, n: usize) -> Vec<Key> {
+        let now = self.publisher.now();
+        let tx = self.sender_mut();
+        let root = tx.root();
+        (0..n).map(|_| tx.publish(now, root, MetaTag(0))).collect()
+    }
+
+    /// One poll of each node, then a wait of at most a millisecond for
+    /// the subscriber's socket.
+    fn step(&mut self) {
+        self.publisher.poll().expect("publisher poll");
+        self.subscriber.poll().expect("subscriber poll");
+        self.subscriber
+            .wait(Duration::from_millis(1))
+            .expect("subscriber wait");
+    }
+
+    /// Steps both nodes until the subscriber holds `want` keys or `budget`
+    /// elapses; returns whether it converged.
+    fn drive_until(&mut self, want: usize, budget: Duration) -> bool {
+        let end = Instant::now() + budget;
+        while Instant::now() < end {
+            self.step();
+            if self.receiver().replica().len() >= want {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Frames the subscriber's ingress loss hook dropped.
+    fn injected(&mut self) -> u64 {
+        self.subscriber
+            .metrics_snapshot()
+            .counter("runtime.loss.injected")
+    }
 }
 
 #[test]
 fn lossless_loopback_delivers_everything() {
-    let (mut publisher, mut subscriber) = connected_pair(LossSpec::None, 1);
-    let root = publisher.sender().root();
-    let now = publisher.now();
-    let keys: Vec<_> = (0..20)
-        .map(|_| publisher.sender_mut().publish(now, root, MetaTag(0)))
-        .collect();
+    let mut pair = Pair::connected(LossSpec::None, 1);
+    let keys = pair.publish(20);
 
     assert!(
-        drive_until(
-            &mut publisher,
-            &mut subscriber,
-            keys.len(),
-            Duration::from_secs(5)
-        ),
+        pair.drive_until(keys.len(), Duration::from_secs(5)),
         "subscriber should hold all {} records; has {}",
         keys.len(),
-        subscriber.receiver().replica().len()
+        pair.receiver().replica().len()
     );
     for k in &keys {
-        assert!(subscriber.receiver().replica().get(*k).is_some());
+        assert!(pair.receiver().replica().get(*k).is_some());
     }
-    assert!(publisher.stats().datagrams_tx >= 20);
-    assert!(subscriber.stats().datagrams_rx >= 20);
+    assert!(
+        pair.publisher
+            .metrics_snapshot()
+            .counter("runtime.egress.frames")
+            >= 20
+    );
+    assert!(
+        pair.subscriber
+            .metrics_snapshot()
+            .counter("runtime.ingress.routed")
+            >= 20
+    );
+    // A lossless spec builds no loss model and drops nothing.
+    assert_eq!(pair.injected(), 0);
 }
 
 #[test]
 fn injected_loss_is_repaired_via_real_feedback() {
-    // 30% of datagrams into the subscriber are dropped; summaries +
-    // queries + NACKs over the real socket must repair the gaps.
-    let (mut publisher, mut subscriber) = connected_pair(LossSpec::Bernoulli(0.3), 7);
-    let root = publisher.sender().root();
-    let now = publisher.now();
+    // 30% of frames into the subscriber are dropped; summaries + queries
+    // + NACKs over the real socket must repair the gaps.
+    let mut pair = Pair::connected(LossSpec::Bernoulli(0.3), 7);
     let n = 30;
-    for _ in 0..n {
-        publisher.sender_mut().publish(now, root, MetaTag(0));
-    }
+    pair.publish(n);
 
     assert!(
-        drive_until(&mut publisher, &mut subscriber, n, Duration::from_secs(10)),
+        pair.drive_until(n, Duration::from_secs(10)),
         "repair did not converge: {}/{} held, {} drops injected",
-        subscriber.receiver().replica().len(),
+        pair.receiver().replica().len(),
         n,
-        subscriber.stats().injected_drops
+        pair.injected()
     );
-    assert!(
-        subscriber.stats().injected_drops > 0,
-        "loss must have occurred"
-    );
+    assert!(pair.injected() > 0, "loss must have occurred");
     // Feedback really flowed: the publisher processed NACKs or queries.
-    let s = publisher.sender().stats();
+    let s = pair.sender().stats();
     assert!(
         s.nacks_rx + s.queries_rx > 0,
         "repair must have used the feedback channel: {s:?}"
@@ -124,81 +165,57 @@ fn bursty_injected_loss_is_repaired() {
     // The unified LossSpec lets loopback tests inject Gilbert–Elliott
     // burst loss, not just i.i.d. drops: whole summary+data trains die
     // together, which exercises repair under correlated loss.
-    let (mut publisher, mut subscriber) = connected_pair(
+    let mut pair = Pair::connected(
         LossSpec::Bursty {
             mean: 0.3,
             burst_len: 5.0,
         },
         11,
     );
-    let root = publisher.sender().root();
-    let now = publisher.now();
     let n = 30;
-    for _ in 0..n {
-        publisher.sender_mut().publish(now, root, MetaTag(0));
-    }
+    pair.publish(n);
 
     assert!(
-        drive_until(&mut publisher, &mut subscriber, n, Duration::from_secs(10)),
+        pair.drive_until(n, Duration::from_secs(10)),
         "repair did not converge under bursty loss: {}/{} held, {} drops",
-        subscriber.receiver().replica().len(),
+        pair.receiver().replica().len(),
         n,
-        subscriber.stats().injected_drops
+        pair.injected()
     );
-    assert!(
-        subscriber.stats().injected_drops > 0,
-        "burst loss must have occurred"
-    );
+    assert!(pair.injected() > 0, "burst loss must have occurred");
 }
 
 #[test]
 fn updates_and_withdrawals_propagate() {
-    let (mut publisher, mut subscriber) = connected_pair(LossSpec::None, 3);
-    let root = publisher.sender().root();
-    let now = publisher.now();
-    let k1 = publisher.sender_mut().publish(now, root, MetaTag(0));
-    let k2 = publisher.sender_mut().publish(now, root, MetaTag(0));
-    assert!(drive_until(
-        &mut publisher,
-        &mut subscriber,
-        2,
-        Duration::from_secs(5)
-    ));
+    let mut pair = Pair::connected(LossSpec::None, 3);
+    let keys = pair.publish(2);
+    let (k1, k2) = (keys[0], keys[1]);
+    assert!(pair.drive_until(2, Duration::from_secs(5)));
 
     // Update k1, withdraw k2.
-    publisher.sender_mut().update(k1);
-    publisher.sender_mut().withdraw(k2);
+    pair.sender_mut().update(k1);
+    pair.sender_mut().withdraw(k2);
 
     let end = Instant::now() + Duration::from_secs(5);
     loop {
-        publisher.poll().unwrap();
-        subscriber.poll().unwrap();
-        let v_ok = subscriber
-            .receiver()
-            .replica()
-            .get(k1)
-            .is_some_and(|e| e.value.version == 2);
-        let gone = subscriber.receiver().replica().get(k2).is_none();
-        if v_ok && gone {
+        pair.step();
+        let replica = pair.receiver().replica();
+        let v_ok = replica.get(k1).is_some_and(|e| e.value.version == 2);
+        if v_ok && replica.get(k2).is_none() {
             break;
         }
         assert!(Instant::now() < end, "update/withdrawal did not propagate");
-        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
 #[test]
 fn reports_reach_the_publisher() {
-    let (mut publisher, mut subscriber) = connected_pair(LossSpec::None, 5);
-    let root = publisher.sender().root();
-    let now = publisher.now();
-    publisher.sender_mut().publish(now, root, MetaTag(0));
+    let mut pair = Pair::connected(LossSpec::None, 5);
+    pair.publish(1);
 
     let end = Instant::now() + Duration::from_secs(5);
-    while publisher.sender().stats().reports_rx == 0 {
-        publisher.poll().unwrap();
-        subscriber.poll().unwrap();
+    while pair.sender().stats().reports_rx == 0 {
+        pair.step();
         assert!(Instant::now() < end, "no receiver report arrived");
-        std::thread::sleep(Duration::from_millis(1));
     }
 }

@@ -40,13 +40,32 @@ fn receiver_config(id: u32) -> ReceiverConfig {
     cfg
 }
 
+/// How long either convergence loop may take before the run gives up.
+const BUDGET: Duration = Duration::from_secs(30);
+
 fn drive(pub_rt: &mut Runtime, sub_rt: &mut Runtime, wall: Duration) -> std::io::Result<()> {
-    let sub_sock = sub_rt.try_clone_socket()?;
     let end = Instant::now() + wall;
     while Instant::now() < end {
         pub_rt.poll()?;
         sub_rt.poll()?;
-        sstp::runtime::wait::wait_for_datagram(&sub_sock, Duration::from_millis(2))?;
+        sub_rt.wait(Duration::from_millis(2))?;
+    }
+    Ok(())
+}
+
+/// Drives both nodes until every replica agrees, or exits 1 once
+/// [`BUDGET`] has passed without that.
+fn converge(pub_rt: &mut Runtime, sub_rt: &mut Runtime, what: &str) -> std::io::Result<()> {
+    let start = Instant::now();
+    while diverged(pub_rt, sub_rt, SESSIONS) > 0 {
+        if start.elapsed() > BUDGET {
+            eprintln!(
+                "{what} stalled: {} records still divergent after {BUDGET:?}",
+                diverged(pub_rt, sub_rt, SESSIONS)
+            );
+            std::process::exit(1);
+        }
+        drive(pub_rt, sub_rt, Duration::from_millis(100))?;
     }
     Ok(())
 }
@@ -98,9 +117,7 @@ fn main() -> std::io::Result<()> {
     );
 
     let t0 = Instant::now();
-    while diverged(&pub_rt, &sub_rt, SESSIONS) > 0 {
-        drive(&mut pub_rt, &mut sub_rt, Duration::from_millis(100))?;
-    }
+    converge(&mut pub_rt, &mut sub_rt, "initial convergence")?;
     println!("initial convergence in {:?}", t0.elapsed());
 
     // Replay a fault schedule as real socket drops: 1 s partition, then
@@ -141,9 +158,7 @@ fn main() -> std::io::Result<()> {
     drive(&mut pub_rt, &mut sub_rt, Duration::from_millis(1100))?;
 
     let t1 = Instant::now();
-    while diverged(&pub_rt, &sub_rt, SESSIONS) > 0 {
-        drive(&mut pub_rt, &mut sub_rt, Duration::from_millis(100))?;
-    }
+    converge(&mut pub_rt, &mut sub_rt, "reconvergence")?;
     let mttr = sub_rt.now().saturating_since(healed_at);
     println!(
         "reconverged {:?} after the wall probe, MTTR {:.2}s (gate: 3xTTL = {:.0}s)",
