@@ -7,8 +7,9 @@
 //! * [`model`] — §2's data model: a publisher's evolving `{key, value}`
 //!   table and subscriber replicas with soft-state expiration timers.
 //! * [`consistency`] — §2.1's consistency metric: per-key agreement,
-//!   instantaneous system consistency `c(t)`, and its exact time average
-//!   under three empty-system conventions.
+//!   instantaneous system consistency `c(t)`, and its time average under
+//!   three empty-system conventions, derived from the exact integrals of
+//!   `ss-netsim`'s `WindowedTimeAverage`.
 //! * [`workload`] — the update/death processes of §2–§3 (Poisson
 //!   arrivals, per-transmission death, lifetimes, bulk inputs).
 //! * [`protocol`] — discrete-event simulations of the three protocol
@@ -44,7 +45,7 @@ pub mod model;
 pub mod protocol;
 pub mod workload;
 
-pub use consistency::{measure_tables, ConsistencyAverages, ConsistencyMeter};
+pub use consistency::{measure_tables, ConsistencyAverages};
 pub use model::{Key, PublisherTable, Record, ReplicaEntry, SubscriberTable, Value};
 pub use protocol::{LossSpec, TransitionCounts};
 pub use workload::{ArrivalProcess, DeathProcess, ServiceModel};

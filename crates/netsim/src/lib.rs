@@ -22,10 +22,10 @@
 //! * [`faults`] — `ss-chaos`: deterministic fault-injection schedules
 //!   (partitions, loss overrides, bandwidth degradation, endpoint
 //!   crashes) on the virtual clock ([`FaultSpec`], [`FaultSchedule`]).
-//! * [`stats`] — latency histograms and time-series recorders for the
-//!   paper's metrics (exact time averages live in [`metrics`]).
-//! * [`metrics`] — `ss-metrics`: a deterministic registry of named
-//!   counters/gauges/histograms/time-averages plus a typed event log,
+//! * [`metrics`] — `ss-metrics`: the one statistics stack. A
+//!   deterministic registry of named counters, gauges, latency
+//!   histograms ([`DurationHistogram`]), quantile sketches and exact
+//!   time averages ([`WindowedTimeAverage`]) plus a typed event log,
 //!   with JSONL export ([`MetricsRegistry`], [`EventLog`]).
 //! * [`trace`] — `ss-trace`: causal record-lifecycle tracing with
 //!   virtual-time spans, Perfetto/JSONL exporters, and trace-derived
@@ -72,7 +72,6 @@ pub mod metrics;
 pub mod par;
 pub mod profile;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod trace;
 pub mod units;
@@ -88,13 +87,12 @@ pub use faults::{
 pub use link::{Channel, Delivery, Transmitter};
 pub use loss::{BatchedBernoulli, Bernoulli, GilbertElliott, LossModel, LossSpec, Pattern};
 pub use metrics::{
-    AverageId, CounterId, EventKind, EventLog, EventRecord, GaugeId, HistogramId, HistogramSummary,
-    MetricValue, MetricsRegistry, MetricsSnapshot, QuantileSketch, QueueClass, SketchId,
-    SketchSummary, WindowedTimeAverage, ARTIFACT_SCHEMA_VERSION,
+    AverageId, CounterId, DurationHistogram, EventKind, EventLog, EventRecord, GaugeId,
+    HistogramId, HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot, QuantileSketch,
+    QueueClass, SketchId, SketchSummary, WindowedTimeAverage, ARTIFACT_SCHEMA_VERSION,
 };
 pub use profile::{PhaseEntry, ProfileReport};
 pub use rng::SimRng;
-pub use stats::{DurationHistogram, TimeSeries};
 pub use time::{Clock, ManualClock, SimDuration, SimTime};
 pub use trace::{Actor, LifecycleAnalysis, TraceEvent, TraceId, TraceKind, Tracer};
 pub use units::Bandwidth;
@@ -113,12 +111,12 @@ pub mod prelude {
         BatchedBernoulli, Bernoulli, GilbertElliott, LossModel, LossSpec, Pattern,
     };
     pub use crate::metrics::{
-        AverageId, CounterId, EventKind, EventLog, EventRecord, GaugeId, HistogramId,
-        HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot, QuantileSketch,
-        QueueClass, SketchId, SketchSummary, WindowedTimeAverage, ARTIFACT_SCHEMA_VERSION,
+        AverageId, CounterId, DurationHistogram, EventKind, EventLog, EventRecord, GaugeId,
+        HistogramId, HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot,
+        QuantileSketch, QueueClass, SketchId, SketchSummary, WindowedTimeAverage,
+        ARTIFACT_SCHEMA_VERSION,
     };
     pub use crate::rng::SimRng;
-    pub use crate::stats::{DurationHistogram, TimeSeries};
     pub use crate::time::{Clock, ManualClock, SimDuration, SimTime};
     pub use crate::trace::{Actor, LifecycleAnalysis, TraceEvent, TraceId, TraceKind, Tracer};
     pub use crate::units::Bandwidth;

@@ -4,8 +4,9 @@
 //! system — consistency `c(t)`, receive latency `T_rec`, wasted
 //! bandwidth `W` (§2.1, §3). This module gives those measurements a
 //! first-class home: a [`MetricsRegistry`] of named counters, gauges,
-//! sim-time histograms, and windowed time averages, plus a typed
-//! [`EventLog`] of protocol events. Everything is keyed by **sim time**
+//! sim-time histograms, quantile sketches, and windowed time averages
+//! (the workspace's one integrator), plus a typed [`EventLog`] of
+//! protocol events. Everything is keyed by **sim time**
 //! only (ss-lint rule D001), uses ordered containers (D002), and takes
 //! no ambient randomness (D003), so a [`MetricsSnapshot`] — and its
 //! JSONL export — is byte-identical across double runs with one seed.
@@ -13,21 +14,22 @@
 //! # Design
 //!
 //! Metrics are registered once by name and then addressed by a typed
-//! handle ([`CounterId`], [`GaugeId`], [`HistogramId`], [`AverageId`]) —
-//! a plain index into a dense `Vec`. Hot-path updates are therefore an
+//! handle ([`CounterId`], [`GaugeId`], [`HistogramId`], [`SketchId`],
+//! [`AverageId`]) — a plain index into a dense `Vec`. Hot-path updates are therefore an
 //! array index away, with no string hashing or allocation per event.
 //! Names are namespaced with dots (`tx.hot`, `consistency.c_t`) and a
 //! snapshot lists them in lexicographic order.
 
 mod events;
+mod histogram;
 pub mod sketch;
 mod timeavg;
 
 pub use events::{EventKind, EventLog, EventRecord, QueueClass};
+pub use histogram::DurationHistogram;
 pub use sketch::QuantileSketch;
 pub use timeavg::WindowedTimeAverage;
 
-use crate::stats::DurationHistogram;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -219,17 +221,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn observe_sketch(&mut self, id: SketchId, d: SimDuration) {
         self.sketches[id.0].1.record_duration(d);
-    }
-
-    /// Read access to a sketch (for quantile queries mid-run).
-    pub fn sketch_value(&self, id: SketchId) -> &QuantileSketch {
-        &self.sketches[id.0].1
-    }
-
-    /// Folds an externally built sketch (e.g. a per-worker partial)
-    /// into a registered one. Merge order never affects the result.
-    pub fn merge_sketch(&mut self, id: SketchId, other: &QuantileSketch) {
-        self.sketches[id.0].1.merge(other);
     }
 
     /// Records that a time-averaged signal takes value `v` from `t` on.
@@ -640,12 +631,9 @@ mod tests {
     fn sketch_registers_snapshots_and_serializes() {
         let mut reg = MetricsRegistry::new();
         let s = reg.sketch("staleness.sketch");
-        for ms in [5u64, 10, 20, 40, 80] {
+        for ms in [5u64, 10, 20, 40, 80, 160] {
             reg.observe_sketch(s, SimDuration::from_millis(ms));
         }
-        let mut partial = QuantileSketch::new();
-        partial.record_duration(SimDuration::from_millis(160));
-        reg.merge_sketch(s, &partial);
         let snap = reg.snapshot(SimTime::from_secs(1));
         let sk = snap.sketch("staleness.sketch");
         assert_eq!(sk.count, 6);

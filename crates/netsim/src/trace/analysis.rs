@@ -23,8 +23,7 @@
 //! other: a drift in either one breaks the equality.
 
 use super::{TraceKind, Tracer};
-use crate::metrics::WindowedTimeAverage;
-use crate::stats::DurationHistogram;
+use crate::metrics::{DurationHistogram, WindowedTimeAverage};
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 

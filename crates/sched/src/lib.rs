@@ -5,22 +5,19 @@
 //! "proportional sharing is preferred over strict priority scheduling
 //! since it prevents starvation of cold data items", citing lottery
 //! scheduling, weighted fair queueing, and stride scheduling as suitable
-//! mechanisms. §6 additionally uses a hierarchical (CBQ/H-FSC-style)
-//! scheduler so applications can split bandwidth across data classes.
+//! mechanisms.
 //!
-//! This crate implements all of them behind one [`Scheduler`] trait:
+//! This crate implements them behind one [`Scheduler`] trait:
 //!
 //! * [`Lottery`] — randomized proportional share (Waldspurger & Weihl).
 //! * [`Stride`] — deterministic proportional share via pass values.
 //! * [`Sfq`] — start-time fair queueing (a virtual-time WFQ variant that
 //!   does not need packet lengths in advance).
-//! * [`Scfq`] — self-clocked (finish-time) fair queueing over real
-//!   per-class packet queues, for byte-accurate sharing when lengths are
-//!   known at enqueue.
 //! * [`Drr`] — deficit round robin.
 //! * [`StrictPriority`] — the starvation-prone baseline §4 argues against.
-//! * [`Hierarchy`] — a weighted class tree (used by SSTP's
-//!   application-controlled allocation).
+//!
+//! §6's application-controlled split across data classes needs no class
+//! tree: SSTP's sender runs one flat [`Stride`] over its classes.
 //!
 //! The abstraction is *slot-and-charge*: the link asks the scheduler which
 //! backlogged class sends the next packet ([`Scheduler::pick`]), then
@@ -28,20 +25,16 @@
 //! fairness holds even with mixed packet sizes.
 
 pub mod drr;
-pub mod hier;
 pub mod lottery;
 pub mod metered;
 pub mod priority;
-pub mod scfq;
 pub mod sfq;
 pub mod stride;
 
 pub use drr::Drr;
-pub use hier::{Hierarchy, NodeId};
 pub use lottery::Lottery;
 pub use metered::Metered;
 pub use priority::StrictPriority;
-pub use scfq::Scfq;
 pub use sfq::Sfq;
 pub use stride::Stride;
 
