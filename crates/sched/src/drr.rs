@@ -153,6 +153,27 @@ mod tests {
     }
 
     #[test]
+    fn weighted_byte_shares() {
+        // Weights 1:4 with 1200- vs 300-byte packets: class 1 gets 80% of
+        // the bytes despite its packets being a quarter the size.
+        let mut s = Drr::new(1500);
+        let mut rng = SimRng::new(0);
+        s.set_weight(0, 1);
+        s.set_weight(1, 4);
+        s.set_backlogged(0, true);
+        s.set_backlogged(1, true);
+        let mut bytes = [0u64; 2];
+        while bytes.iter().sum::<u64>() < 2_000_000 {
+            let c = s.pick(&mut rng).unwrap();
+            let cost = if c == 0 { 1200 } else { 300 };
+            bytes[c] += cost;
+            s.charge(c, cost);
+        }
+        let share = bytes[1] as f64 / (bytes[0] + bytes[1]) as f64;
+        assert!((share - 0.8).abs() < 0.02, "byte share {share}");
+    }
+
+    #[test]
     fn idle_class_forfeits_deficit() {
         let mut s = Drr::new(1);
         let mut rng = SimRng::new(0);
@@ -189,5 +210,28 @@ mod tests {
         assert_eq!(s.pick(&mut rng), None);
         s.set_weight(0, 1);
         assert_eq!(s.pick(&mut rng), None);
+    }
+
+    #[test]
+    fn zero_weight_disables() {
+        let mut s = Drr::new(1);
+        let mut rng = SimRng::new(0);
+        s.set_weight(0, 2);
+        s.set_weight(1, 1);
+        s.set_backlogged(0, true);
+        s.set_backlogged(1, true);
+        s.set_weight(0, 0);
+        for _ in 0..10 {
+            assert_eq!(s.pick(&mut rng), Some(1));
+            s.charge(1, 1);
+        }
+        s.set_weight(1, 0);
+        assert_eq!(s.pick(&mut rng), None, "no eligible class left");
+    }
+
+    #[test]
+    #[should_panic(expected = "quantum must be positive")]
+    fn zero_quantum_rejected() {
+        Drr::new(0);
     }
 }

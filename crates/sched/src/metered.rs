@@ -120,7 +120,7 @@ impl<S: Scheduler> Scheduler for Metered<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Stride;
+    use crate::{Sfq, Stride};
 
     #[test]
     fn counts_picks_and_cost_transparently() {
@@ -138,6 +138,27 @@ mod tests {
         assert_eq!(m.charged(0), m.picks(0) * 2);
         assert_eq!(m.picks(0), 300, "stride is exact: 3:1 split");
         assert_eq!(m.name(), Stride::new().name());
+    }
+
+    #[test]
+    fn metering_does_not_change_decisions() {
+        let mut bare = Sfq::new();
+        let mut m = Metered::new(Sfq::new());
+        for (c, w) in [(0, 5), (1, 2), (2, 1)] {
+            bare.set_weight(c, w);
+            m.set_weight(c, w);
+            bare.set_backlogged(c, true);
+            m.set_backlogged(c, true);
+        }
+        let (mut r1, mut r2) = (SimRng::new(5), SimRng::new(5));
+        for i in 0..500u64 {
+            let c = bare.pick(&mut r1);
+            assert_eq!(m.pick(&mut r2), c, "pick {i}");
+            let c = c.unwrap();
+            bare.charge(c, 1 + i % 3);
+            m.charge(c, 1 + i % 3);
+        }
+        assert_eq!(m.picks(0) + m.picks(1) + m.picks(2), 500);
     }
 
     #[test]

@@ -137,6 +137,33 @@ mod tests {
         assert!((ratio - 1.0).abs() < 0.05, "byte ratio {ratio}");
     }
 
+    /// Byte shares of two always-backlogged classes sending `lens`-byte
+    /// packets under `weights`.
+    fn byte_shares(weights: [u64; 2], lens: [u64; 2]) -> [f64; 2] {
+        let mut s = Sfq::new();
+        let mut rng = SimRng::new(0);
+        for (c, &w) in weights.iter().enumerate() {
+            s.set_weight(c, w);
+            s.set_backlogged(c, true);
+        }
+        let mut bytes = [0u64; 2];
+        while bytes.iter().sum::<u64>() < 2_000_000 {
+            let c = s.pick(&mut rng).unwrap();
+            bytes[c] += lens[c];
+            s.charge(c, lens[c]);
+        }
+        let total = (bytes[0] + bytes[1]) as f64;
+        [bytes[0] as f64 / total, bytes[1] as f64 / total]
+    }
+
+    #[test]
+    fn weighted_byte_shares() {
+        let shares = byte_shares([3, 1], [500, 500]);
+        assert!((shares[0] - 0.75).abs() < 0.02, "{shares:?}");
+        let shares = byte_shares([1, 4], [1200, 300]);
+        assert!((shares[1] - 0.8).abs() < 0.02, "{shares:?}");
+    }
+
     #[test]
     fn work_conserving_and_disable() {
         let mut s = Sfq::new();

@@ -177,4 +177,22 @@ mod tests {
         s.set_backlogged(3, true);
         assert_eq!(s.pick(&mut rng), Some(3));
     }
+
+    #[test]
+    fn zero_weight_disables_a_class() {
+        let mut s = Stride::new();
+        let mut rng = SimRng::new(0);
+        s.set_weight(0, 0);
+        s.set_weight(1, 1);
+        s.set_backlogged(0, true);
+        s.set_backlogged(1, true);
+        for _ in 0..10 {
+            assert_eq!(s.pick(&mut rng), Some(1));
+            s.charge(1, 1);
+        }
+        // Charging a disabled class is a no-op, not a division by zero.
+        s.charge(0, 1);
+        s.set_weight(1, 0);
+        assert_eq!(s.pick(&mut rng), None);
+    }
 }
