@@ -11,9 +11,11 @@
 //!   metric-visible drop (`runtime.backpressure.drops`) — never an
 //!   unbounded buffer, never a panic. The soft-state model is what makes
 //!   this safe: every dropped message is an idempotent refresh that a
-//!   later cycle re-sends. The socket is one more bounded channel: what
-//!   it will not take is a counted `runtime.egress.drops`, and the poll
-//!   goes on.
+//!   later cycle re-sends. A capacity caps a queue's length and is not
+//!   preallocated: both start empty and grow on demand, so an installed
+//!   idle session holds about 1 KB of heap and its inbox none. The socket
+//!   is one more bounded channel: what it will not take is a counted
+//!   `runtime.egress.drops`, and the poll goes on.
 //! * **Coalesced datagrams** ([`mux`]): all sessions share one peer, so
 //!   the frames one poll emits travel together in MTU-sized datagrams —
 //!   a system call per dozen announcements, not per announcement — and
@@ -52,9 +54,11 @@
 //!
 //! The loop is **event-driven**: a poll costs O(ready + due), not
 //! O(sessions), so an idle session costs its refresh timers and nothing
-//! in between. A *ready list* holds the sessions with something to do
-//! now (a datagram routed to them, a `&mut` handed to the application, a
-//! fresh install); a [`pacing::DeadlineIndex`] holds every session's
+//! in between, and installing one costs O(log n): a crashed slot waits
+//! in a lowest-first vacancy set, not for a scan. A *ready list* holds
+//! the sessions with something to do now (a datagram routed to them, a
+//! `&mut` handed to the application, a fresh install); a
+//! [`pacing::DeadlineIndex`] holds every session's
 //! next wake-up as a lazily validated lower bound — an entry is pushed
 //! only when a deadline moves earlier, one that moves later is found out
 //! when the old entry surfaces — which is what keeps per-datagram paths
@@ -81,7 +85,7 @@ use ss_netsim::{
     Bandwidth, Clock, CounterId, GaugeId, LossModel, LossSpec, MetricsRegistry, MetricsSnapshot,
     RealPathFaults, SimDuration, SimRng, SimTime, SketchId,
 };
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -278,6 +282,9 @@ pub struct Runtime {
     cold_pacer: VarRateLimit,
     base_cold_rate: u32,
     sessions: Vec<Option<SessionSlot>>,
+    /// The crashed slots of `sessions`, exactly its `None` entries:
+    /// installs reuse the lowest first.
+    vacant: BTreeSet<u32>,
     /// Sessions with something to do *now*: a datagram in the inbox, a
     /// `&mut` handed to the application, a fresh install, a fired timer.
     ready: Vec<u32>,
@@ -385,6 +392,7 @@ impl Runtime {
             cold_pacer: VarRateLimit::new(cfg.cold_rate),
             base_cold_rate: cfg.cold_rate.max(1),
             sessions: Vec::new(),
+            vacant: BTreeSet::new(),
             ready: Vec::new(),
             timers: DeadlineIndex::new(),
             cold_queue: VecDeque::new(),
@@ -470,14 +478,14 @@ impl Runtime {
     }
 
     fn install(&mut self, endpoint: Endpoint, now: SimTime) -> u32 {
-        // Reuse the first crashed (vacated) slot before growing.
-        let sid = match self.sessions.iter().position(Option::is_none) {
-            Some(i) => i,
+        // Reuse the lowest crashed (vacated) slot before growing.
+        let sid = match self.vacant.first() {
+            Some(&sid) => sid,
             None => {
                 self.sessions.push(None);
-                self.sessions.len() - 1
+                (self.sessions.len() - 1) as u32
             }
-        } as u32;
+        };
         self.occupy(sid, endpoint, now);
         sid
     }
@@ -485,6 +493,7 @@ impl Runtime {
     /// Puts a fresh session into the vacant slot `sid`, ready to be
     /// stepped by the next poll — which is what arms its timers.
     fn occupy(&mut self, sid: u32, endpoint: Endpoint, now: SimTime) {
+        self.vacant.remove(&sid);
         let slot = self.sessions[sid as usize].insert(SessionSlot {
             endpoint,
             inbox: BoundedQueue::new(self.cfg.inbox_capacity),
@@ -501,6 +510,7 @@ impl Runtime {
     pub fn crash(&mut self, sid: u32) {
         if let Some(slot) = self.sessions.get_mut(sid as usize) {
             if let Some(dead) = slot.take() {
+                self.vacant.insert(sid);
                 // Nothing of the dead occupant may wake whoever reuses
                 // the slot: not its timers, not its place in a queue.
                 self.timers.vacate(sid);
@@ -526,10 +536,7 @@ impl Runtime {
     /// Rejoins a crashed subscriber slot with a fresh (empty-replica)
     /// receiver. Panics if `sid` is still occupied.
     pub fn rejoin_subscriber(&mut self, sid: u32, rcfg: ReceiverConfig) {
-        assert!(
-            self.sessions.get(sid as usize).is_some_and(Option::is_none),
-            "rejoin into a live slot"
-        );
+        assert!(self.vacant.contains(&sid), "rejoin into a live slot");
         let now = self.clock.now();
         let seed = self.cfg.seed ^ u64::from(rcfg.id).wrapping_mul(0x2545_f491_4f6c_dd1d);
         let endpoint = Endpoint::Subscriber {
@@ -581,7 +588,7 @@ impl Runtime {
 
     /// Number of installed (non-crashed) sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.iter().flatten().count()
+        self.sessions.len() - self.vacant.len()
     }
 
     /// The liveness supervisor (read-only).

@@ -128,7 +128,9 @@ pub fn decode_frames(datagram: &[u8]) -> impl Iterator<Item = Result<Frame, Fram
 
 /// A bounded FIFO between the socket reader and a session state machine.
 ///
-/// `push` refuses instead of growing: a `false` return is the caller's
+/// The capacity caps the length; it is not preallocated. A fresh queue
+/// holds no heap and grows on demand, so an idle session costs nothing
+/// here. `push` refuses at the cap: a `false` return is the caller's
 /// cue to count a backpressure drop. The queue can never exceed its
 /// capacity (checked by [`BoundedQueue::high_water`], which the soak
 /// test asserts stays `<= capacity`).
@@ -145,7 +147,7 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "zero-capacity queue");
         BoundedQueue {
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
             capacity,
             drops: 0,
             high_water: 0,

@@ -56,7 +56,8 @@ pub struct Outbound {
 /// [`SheddingQueue::high_water`]):
 ///
 /// * `len() <= capacity` always — [`SheddingQueue::push`] refuses or
-///   evicts, it never grows the buffer.
+///   evicts at the cap. The capacity caps the length and is not
+///   preallocated: a fresh queue holds no heap and grows on demand.
 /// * Cold pushes are refused above the cold watermark, so background
 ///   refresh can never crowd out repair traffic.
 /// * A hot/feedback push into a full queue evicts the oldest cold entry
@@ -83,7 +84,7 @@ impl SheddingQueue {
             "cold watermark {cold_watermark} above capacity {capacity}"
         );
         SheddingQueue {
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
             capacity,
             cold_watermark,
             cold_queued: 0,

@@ -6,7 +6,8 @@
 //!
 //! This test binary (and no library crate) installs a counting global
 //! allocator, so the namespace properties can also assert that a digest
-//! refresh touches no heap.
+//! refresh touches no heap, and the runtime's queues and sessions can be
+//! priced in heap bytes.
 
 // The workspace denies `unsafe_code`; a `GlobalAlloc` impl cannot be
 // written without it, and it is confined to this test binary.
@@ -19,7 +20,9 @@ use ss_netsim::{SimRng, SimTime};
 use sstp::digest::{Digest, HashAlgorithm};
 use sstp::namespace::{MetaTag, Namespace};
 use sstp::receiver::{ReceiverConfig, SstpReceiver};
-use sstp::runtime::mux::{append_frame, decode_frames, FrameError, FRAME_OVERHEAD};
+use sstp::runtime::mux::{append_frame, decode_frames, BoundedQueue, FrameError, FRAME_OVERHEAD};
+use sstp::runtime::shed::{Outbound, ShedStats, SheddingQueue, TrafficClass};
+use sstp::runtime::{Runtime, RuntimeConfig};
 use sstp::sender::SstpSender;
 use sstp::wire::{
     DataPacket, NackPacket, NodeSummaryPacket, Packet, ReceiverReportPacket, RepairQueryPacket,
@@ -27,47 +30,58 @@ use sstp::wire::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
+use std::net::SocketAddr;
 
 std::thread_local! {
     /// Heap allocations made by this thread (tests run on parallel
     /// threads, so a process-wide count would see the neighbours').
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes this thread has allocated and not yet freed (a block
+    /// freed on another thread is credited there).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Forwards to the system allocator and counts each allocation against
-/// the calling thread.
+/// Forwards to the system allocator and counts each allocation, and the
+/// bytes it holds, against the calling thread.
 struct CountingAlloc;
 
-fn count_allocation() {
+fn count_allocation(bytes: i64) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down, when the counter is gone and nobody reads it.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    count_bytes(bytes);
+}
+
+fn count_bytes(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the only addition is a bump
-// of a const-initialized, destructor-free thread-local `Cell`, which
+// of const-initialized, destructor-free thread-local `Cell`s, which
 // neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -81,6 +95,14 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// `f`'s result and the heap bytes this thread gained while running it
+/// that are still held when it returns — the footprint of what it built.
+fn heap_held_by<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let out = f();
+    (out, LIVE_BYTES.with(Cell::get) - before)
 }
 
 fn arb_digest() -> impl Strategy<Value = Digest> {
@@ -693,4 +715,255 @@ fn decoding_a_datagram_of_root_level_data_frames_allocates_nothing() {
         }
     });
     assert_eq!((frames, allocs), (keys.len(), 0));
+}
+
+// The runtime's queues and session slots. A capacity caps a queue's
+// length and is not preallocated, and a crashed slot is found in a
+// lowest-first vacancy set instead of by a scan; the tests below pin the
+// bounds that stay and price what an idle session holds.
+
+fn outbound(session: u32, class: TrafficClass) -> Outbound {
+    Outbound {
+        session,
+        class,
+        pkt: Packet::RepairQuery(RepairQueryPacket { path: Vec::new() }),
+    }
+}
+
+/// A fresh inbox or outbox, at the shipped capacities, holds no heap.
+#[test]
+fn fresh_runtime_queues_allocate_nothing() {
+    let cfg = node_config();
+    let inbox =
+        allocations_during(|| drop(black_box(BoundedQueue::<Packet>::new(cfg.inbox_capacity))));
+    let outbox = allocations_during(|| {
+        drop(black_box(SheddingQueue::new(
+            cfg.outbox_capacity,
+            cfg.outbox_cold_watermark,
+        )))
+    });
+    assert_eq!((inbox, outbox), (0, 0));
+}
+
+/// Growing on demand moves no bound: a queue takes exactly `capacity`
+/// items, refuses and counts the next one, and its high water reaches
+/// the cap and stops there. What it took comes out in order.
+#[test]
+fn grown_queues_refuse_exactly_at_capacity() {
+    for capacity in [1, 7, 64] {
+        let mut inbox = BoundedQueue::new(capacity);
+        assert!((0..capacity).all(|i| inbox.push(i)));
+        assert!(!inbox.push(capacity));
+        assert_eq!(
+            (inbox.len(), inbox.drops(), inbox.high_water()),
+            (capacity, 1, capacity)
+        );
+        assert!((0..capacity).all(|i| inbox.pop() == Some(i)));
+        assert!(inbox.is_empty());
+
+        let mut outbox = SheddingQueue::new(capacity, capacity);
+        assert!((0..capacity as u32).all(|s| outbox.push(outbound(s, TrafficClass::Hot))));
+        assert!(!outbox.push(outbound(0, TrafficClass::Feedback)));
+        assert_eq!(
+            outbox.stats(),
+            ShedStats {
+                shed_cold: 0,
+                shed_hot: 1
+            }
+        );
+        assert_eq!((outbox.len(), outbox.high_water()), (capacity, capacity));
+        assert!((0..capacity as u32).all(|s| outbox.pop().map(|o| o.session) == Some(s)));
+        assert!(outbox.is_empty());
+    }
+}
+
+/// The shed policy spelled out over a plain `Vec`: cold refused at the
+/// watermark, a full queue making room by evicting its oldest cold entry,
+/// and a push into a queue full of hot traffic refused as `shed_hot`.
+struct ShedModel {
+    items: Vec<(u32, TrafficClass)>,
+    capacity: usize,
+    cold_watermark: usize,
+    stats: ShedStats,
+    high_water: usize,
+}
+
+impl ShedModel {
+    fn push(&mut self, session: u32, class: TrafficClass) -> bool {
+        if class == TrafficClass::Cold && self.items.len() >= self.cold_watermark {
+            self.stats.shed_cold += 1;
+            return false;
+        }
+        if self.items.len() == self.capacity {
+            match self
+                .items
+                .iter()
+                .position(|&(_, c)| c == TrafficClass::Cold)
+            {
+                Some(oldest_cold) => {
+                    self.items.remove(oldest_cold);
+                    self.stats.shed_cold += 1;
+                }
+                None => {
+                    self.stats.shed_hot += 1;
+                    return false;
+                }
+            }
+        }
+        self.items.push((session, class));
+        self.high_water = self.high_water.max(self.items.len());
+        true
+    }
+}
+
+/// Shipped loopback defaults. Nothing here polls, so the peer (port 0)
+/// is never sent to.
+fn node_config() -> RuntimeConfig {
+    let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+    RuntimeConfig::loopback(any, any)
+}
+
+fn node() -> Runtime {
+    Runtime::bind(node_config()).expect("bind a loopback runtime")
+}
+
+fn subscriber(id: u32) -> ReceiverConfig {
+    ReceiverConfig::unicast(id, HashAlgorithm::Fnv64)
+}
+
+proptest! {
+    /// The outbox grown on demand sheds, evicts and refuses exactly as
+    /// the policy says, push for push, and serves FIFO.
+    #[test]
+    fn shedding_queue_follows_the_shed_policy(
+        capacity in 1usize..12,
+        watermark_share in 0usize..101,
+        ops in prop::collection::vec(0u8..4, 0..200),
+    ) {
+        let cold_watermark = capacity * watermark_share / 100;
+        let mut q = SheddingQueue::new(capacity, cold_watermark);
+        let mut model = ShedModel {
+            items: Vec::new(),
+            capacity,
+            cold_watermark,
+            stats: ShedStats::default(),
+            high_water: 0,
+        };
+        for (session, op) in ops.into_iter().enumerate() {
+            let session = session as u32;
+            let class = match op {
+                0 => {
+                    let want = (!model.items.is_empty()).then(|| model.items.remove(0).0);
+                    prop_assert_eq!(q.pop().map(|o| o.session), want);
+                    continue;
+                }
+                1 => TrafficClass::Hot,
+                2 => TrafficClass::Feedback,
+                _ => TrafficClass::Cold,
+            };
+            prop_assert_eq!(q.push(outbound(session, class)), model.push(session, class));
+            prop_assert_eq!(q.stats(), model.stats);
+            prop_assert_eq!((q.len(), q.high_water()), (model.items.len(), model.high_water));
+            prop_assert_eq!(q.pressured(), model.items.len() >= cold_watermark);
+        }
+    }
+
+    /// Against the linear scan the vacancy set replaced: after any run of
+    /// installs, crashes (of live, vacant or unknown ids) and rejoins,
+    /// each install gets the slot the scan gave it — the first vacant
+    /// one, else a new one — and `session_count` counts occupied slots.
+    #[test]
+    fn installs_reuse_slots_as_the_scan_did(
+        ops in prop::collection::vec((0u8..3, 0u32..24), 1..60),
+    ) {
+        let mut rt = node();
+        let mut occupied: Vec<bool> = Vec::new();
+        for (op, sid) in ops {
+            match op {
+                0 => {
+                    let want = occupied.iter().position(|&o| !o).unwrap_or(occupied.len());
+                    if want == occupied.len() {
+                        occupied.push(true);
+                    }
+                    occupied[want] = true;
+                    prop_assert_eq!(rt.add_publisher(HashAlgorithm::Fnv64, 64) as usize, want);
+                }
+                1 => {
+                    rt.crash(sid);
+                    if let Some(o) = occupied.get_mut(sid as usize) {
+                        *o = false;
+                    }
+                }
+                _ => {
+                    if occupied.get(sid as usize) == Some(&false) {
+                        rt.rejoin_subscriber(sid, subscriber(sid));
+                        occupied[sid as usize] = true;
+                    }
+                }
+            }
+            prop_assert_eq!(rt.session_count(), occupied.iter().filter(|&&o| o).count());
+        }
+    }
+}
+
+/// Crash 3 of 10 sessions: `rejoin_subscriber` fills the vacancy it
+/// names, the `add_*` calls take the rest lowest id first and then grow
+/// the table, and crashing a vacant or unknown id changes nothing.
+#[test]
+fn crashed_slots_are_reused_lowest_id_first() {
+    let mut rt = node();
+    let sids: Vec<u32> = (0..10)
+        .map(|i| match i % 2 {
+            0 => rt.add_publisher(HashAlgorithm::Fnv64, 64),
+            _ => rt.add_subscriber(subscriber(i)),
+        })
+        .collect();
+    assert_eq!(
+        sids,
+        (0..10).collect::<Vec<_>>(),
+        "a fresh runtime numbers densely"
+    );
+    for sid in [7, 2, 5] {
+        rt.crash(sid);
+    }
+    rt.crash(5);
+    rt.crash(99);
+    assert_eq!(rt.session_count(), 7);
+    assert!(rt.publisher(2).is_none() && rt.subscriber(5).is_none());
+
+    rt.rejoin_subscriber(5, subscriber(105));
+    assert!(rt.subscriber(5).is_some());
+    assert_eq!(rt.add_subscriber(subscriber(102)), 2);
+    assert_eq!(rt.add_publisher(HashAlgorithm::Fnv64, 64), 7);
+    assert_eq!(rt.add_publisher(HashAlgorithm::Fnv64, 64), 10);
+    assert_eq!(rt.session_count(), 11);
+}
+
+/// What carrying idle sessions costs in heap, at the shipped defaults: a
+/// bound runtime holds at most 100 KB, and an installed session at most
+/// 1.5 KiB (averaged over 256 of each kind, so the tables' growth is
+/// charged to the sessions that caused it). Neither queue's capacity is
+/// paid up front.
+#[test]
+fn idle_sessions_and_a_bound_runtime_hold_little_heap() {
+    const N: u32 = 256;
+    let (mut rt, bound) = heap_held_by(node);
+    let ((), publishers) = heap_held_by(|| {
+        for _ in 0..N {
+            rt.add_publisher(HashAlgorithm::Fnv64, 64);
+        }
+    });
+    let ((), subscribers) = heap_held_by(|| {
+        for i in 0..N {
+            rt.add_subscriber(subscriber(i));
+        }
+    });
+    let per_session = [publishers, subscribers].map(|bytes| bytes / i64::from(N));
+    println!(
+        "bound runtime: {bound} B; per idle session (publisher, subscriber): {per_session:?} B"
+    );
+    assert!(bound <= 100_000, "a bound runtime holds {bound} heap bytes");
+    for bytes in per_session {
+        assert!(bytes <= 1536, "an idle session holds {bytes} heap bytes");
+    }
 }
