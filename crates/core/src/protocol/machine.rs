@@ -70,7 +70,6 @@ pub fn classify_service(was_consistent: bool, lost: bool, dies: bool) -> Service
 
 impl TransitionCounts {
     /// Tallies one observed transition.
-    // lint: allow(D008, statistics tally on plain counters; no protocol state is mutated)
     pub fn record(&mut self, t: Transition) {
         match t {
             Transition::CtoC => self.c_to_c += 1,

@@ -26,8 +26,9 @@
 //!   must be total.
 //! - **D005** — no console or I/O identifiers in the pure state-machine
 //!   files (the `sstp` sender/receiver and the core protocol machine).
-//!   The machines are `step(state, event) -> effects` functions that
-//!   `ss-verify` explores exhaustively; any side channel breaks that.
+//!   The machines are sans-I/O: every effect leaves through a method's
+//!   return value, which is what lets `ss-verify` explore them
+//!   exhaustively; any side channel breaks that.
 //! - **D006** — no `f32` in the simulation crates. Consistency statistics
 //!   accumulate over millions of events; half-precision drift would make
 //!   runs platform-dependent. Use `f64` or integer counters.
@@ -35,10 +36,9 @@
 //!   Registration (`.counter("…")` etc.) must happen once, with the
 //!   returned id stored; inline re-registration silently creates a fresh
 //!   series per call site.
-//! - **D008** — no `pub fn` taking `&mut self` (other than `step`), and
-//!   no `pub fn … -> &mut` accessor, in the state-machine files. All
-//!   mutation flows through `step`; compat shims must carry a reasoned
-//!   `allow(D008, …)` annotation.
+//! - **D008** — no `pub fn … -> &mut` accessor in the state-machine
+//!   files. The endpoints' public methods are their one API; a mutable
+//!   accessor would let a caller change protocol state around them.
 //! - **D009** — every suppression annotation (`allow(…)`) must be well-formed:
 //!   at least one valid rule id and a non-empty reason. A malformed
 //!   annotation both fails to suppress *and* is itself a violation, so
@@ -169,7 +169,7 @@ pub const RULES: [RuleInfo; 11] = [
     },
     RuleInfo {
         id: "D008",
-        summary: "pub &mut-self method (or -> &mut accessor) outside step in machine files",
+        summary: "pub fn returning &mut (a mutable state accessor) in machine files",
     },
     RuleInfo {
         id: "D009",
@@ -236,7 +236,8 @@ const SIM_CRATE_PREFIXES: [&str; 5] = [
 ];
 
 /// Files holding the pure protocol state machines (D005/D008): no I/O may
-/// be reachable from them, and all mutation must flow through `step`.
+/// be reachable from them, and no accessor may hand out their state
+/// mutably.
 const MACHINE_FILES: [&str; 4] = [
     "crates/sstp/src/sender.rs",
     "crates/sstp/src/receiver.rs",
@@ -570,23 +571,8 @@ fn has_metric_use(code: &str) -> bool {
     .any(|m| code.contains(m))
 }
 
-/// True when the stripped line declares a `pub fn` that mutates through
-/// `&mut self` (D008). `step` is the sanctioned mutation entry point;
-/// `pub(crate)` helpers and by-value builders (`mut self`) are exempt.
-fn has_pub_mut_method(code: &str) -> bool {
-    let Some(pos) = code.find("pub fn ") else {
-        return false;
-    };
-    let rest = &code[pos + "pub fn ".len()..];
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    name != "step" && code.contains("&mut self")
-}
-
 /// True when the stripped line is a `pub fn` returning `&mut` (a mutable
-/// accessor leaking protocol state past the `step` seam).
+/// accessor leaking protocol state past the endpoint's methods).
 fn has_pub_mut_return(code: &str) -> bool {
     code.contains("pub fn ") && code.contains("-> &mut ")
 }
@@ -716,7 +702,8 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 path: path.to_string(),
                 line: line_no,
                 rule: "D005",
-                message: "I/O reachable from a pure state machine; effects must flow out of step"
+                message: "I/O reachable from a pure state machine; effects must leave through \
+                     return values"
                     .to_string(),
             });
         }
@@ -743,16 +730,13 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Diagnostic> {
                     .to_string(),
             });
         }
-        if check_d008
-            && (has_pub_mut_method(&scan.code) || has_pub_mut_return(&scan.code))
-            && !suppressed("D008")
-        {
+        if check_d008 && has_pub_mut_return(&scan.code) && !suppressed("D008") {
             out.push(Diagnostic {
                 path: path.to_string(),
                 line: line_no,
                 rule: "D008",
-                message: "pub mutation outside step in a state-machine file; route through step \
-                     or annotate the compat shim"
+                message: "mutable state accessor in a state-machine file; mutate through the \
+                     machine's own methods"
                     .to_string(),
             });
         }
@@ -1041,8 +1025,9 @@ mod tests {
     }
 
     #[test]
-    fn d008_flags_pub_mut_methods_outside_step() {
-        let src = "    pub fn poke(&mut self) {}\n";
+    fn d008_flags_only_mutable_accessors() {
+        // A mutable accessor in a machine file fires.
+        let src = "    pub fn x(&self) -> &mut T { unreachable!() }\n";
         assert_eq!(
             scan_source("crates/sstp/src/receiver.rs", src)
                 .iter()
@@ -1050,29 +1035,14 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec!["D008"]
         );
-        // step itself, by-value builders, and pub(crate) helpers pass.
+        // A public `&mut self` method is the endpoint's API, not a leak.
         assert!(scan_source(
             "crates/sstp/src/receiver.rs",
-            "    pub fn step(&mut self, ev: Ev) {}\n"
+            "    pub fn poke(&mut self) {}\n"
         )
         .is_empty());
-        assert!(scan_source(
-            "crates/sstp/src/receiver.rs",
-            "    pub fn with_cap(mut self, cap: usize) -> Self { self }\n"
-        )
-        .is_empty());
-        assert!(scan_source(
-            "crates/sstp/src/receiver.rs",
-            "    pub(crate) fn internal(&mut self) {}\n"
-        )
-        .is_empty());
-        // Mutable accessors leak state past the seam.
-        let src = "    pub fn table_mut(&self) -> &mut Table { unreachable!() }\n";
-        assert_eq!(scan_source("crates/sstp/src/receiver.rs", src).len(), 1);
         // Outside machine files the rule does not apply.
-        assert!(
-            scan_source("crates/sstp/src/session.rs", "pub fn poke(&mut self) {}\n").is_empty()
-        );
+        assert!(scan_source("crates/sstp/src/session.rs", src).is_empty());
     }
 
     #[test]

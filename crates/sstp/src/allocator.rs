@@ -12,58 +12,7 @@
 
 use crate::profile::{ConsistencyProfile, LatencyProfile};
 use crate::reliability::ReliabilityParams;
-use ss_netsim::{Bandwidth, SimTime};
-
-/// The session bandwidth source — the stand-in for the congestion
-/// manager (CM) the paper delegates to. A static implementation covers
-/// manually-configured sessions ("configured manually as in most non-TCP
-/// applications today"); a scripted one exercises adaptation.
-pub trait BandwidthSource {
-    /// The session bandwidth available at `now`.
-    fn total(&self, now: SimTime) -> Bandwidth;
-}
-
-/// A fixed session bandwidth.
-#[derive(Clone, Copy, Debug)]
-pub struct StaticBandwidth(pub Bandwidth);
-
-impl BandwidthSource for StaticBandwidth {
-    fn total(&self, _now: SimTime) -> Bandwidth {
-        self.0
-    }
-}
-
-/// A step schedule of session bandwidths: each entry applies from its
-/// time onward. Used to test allocator adaptation to CM rate changes.
-#[derive(Clone, Debug)]
-pub struct ScriptedBandwidth {
-    steps: Vec<(SimTime, Bandwidth)>,
-}
-
-impl ScriptedBandwidth {
-    /// Builds the schedule; steps must be time-sorted and non-empty, and
-    /// the first step must cover t = 0.
-    pub fn new(steps: Vec<(SimTime, Bandwidth)>) -> Self {
-        assert!(!steps.is_empty(), "empty bandwidth schedule");
-        assert_eq!(steps[0].0, SimTime::ZERO, "schedule must start at t=0");
-        assert!(
-            steps.windows(2).all(|w| w[0].0 < w[1].0),
-            "schedule not sorted"
-        );
-        ScriptedBandwidth { steps }
-    }
-}
-
-impl BandwidthSource for ScriptedBandwidth {
-    fn total(&self, now: SimTime) -> Bandwidth {
-        self.steps
-            .iter()
-            .rev()
-            .find(|(t, _)| *t <= now)
-            .map(|(_, bw)| *bw)
-            .expect("schedule covers t=0")
-    }
-}
+use ss_netsim::Bandwidth;
 
 /// Static configuration of the allocator.
 #[derive(Clone, Debug)]
@@ -324,35 +273,6 @@ mod tests {
         let al = tight.allocate(total, 0.5, 1.875);
         let share = al.feedback.fraction_of(total);
         assert!(share <= 0.05 + 1e-9, "share {share}");
-    }
-
-    #[test]
-    fn bandwidth_sources() {
-        let s = StaticBandwidth(Bandwidth::from_kbps(45));
-        assert_eq!(s.total(SimTime::from_secs(99)), Bandwidth::from_kbps(45));
-
-        let sched = ScriptedBandwidth::new(vec![
-            (SimTime::ZERO, Bandwidth::from_kbps(45)),
-            (SimTime::from_secs(100), Bandwidth::from_kbps(20)),
-        ]);
-        assert_eq!(
-            sched.total(SimTime::from_secs(50)),
-            Bandwidth::from_kbps(45)
-        );
-        assert_eq!(
-            sched.total(SimTime::from_secs(100)),
-            Bandwidth::from_kbps(20)
-        );
-        assert_eq!(
-            sched.total(SimTime::from_secs(500)),
-            Bandwidth::from_kbps(20)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "schedule must start at t=0")]
-    fn scripted_bandwidth_needs_origin() {
-        let _ = ScriptedBandwidth::new(vec![(SimTime::from_secs(1), Bandwidth::from_kbps(1))]);
     }
 
     #[test]

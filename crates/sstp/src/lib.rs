@@ -18,6 +18,8 @@
 //! * [`sender`] / [`receiver`] — sans-I/O protocol endpoints with
 //!   recursive-descent repair, interest scoping, and slotting-and-damping
 //!   feedback suppression for multicast.
+//! * [`machine`] — what the `ss-verify` explorer needs from the endpoints:
+//!   state fingerprints, self-check errors, and seeded defects.
 //! * [`session`] — the end-to-end simulated session (1 sender,
 //!   N receivers, lossy rate-limited channels, adaptation loop).
 //! * [`runtime`] — the same endpoints on real `std::net` UDP sockets, with
@@ -77,9 +79,8 @@ pub mod sender;
 pub mod session;
 pub mod wire;
 
-pub use allocator::{Allocation, Allocator, AllocatorConfig, BandwidthSource};
+pub use allocator::{Allocation, Allocator, AllocatorConfig};
 pub use digest::{Digest, HashAlgorithm};
-pub use machine::{ReceiverEffect, ReceiverEvent, SenderEffect, SenderEvent};
 pub use namespace::{MetaTag, Namespace, Path};
 pub use receiver::{Interest, ReceiverConfig, SstpReceiver};
 pub use reliability::{ReliabilityLevel, ReliabilityParams};

@@ -1,128 +1,22 @@
-//! The pure `step(event) -> effect` seam over the SSTP endpoints.
+//! What the `ss-verify` explorer needs from the SSTP endpoints, beyond
+//! their public methods.
 //!
 //! Both endpoint machines ([`crate::sender::SstpSender`] and
-//! [`crate::receiver::SstpReceiver`]) are driven exclusively through a
-//! single mutation entry point, `step`, which consumes one typed event
-//! and returns one typed effect. The machines never read a clock (time
-//! only enters through event payloads — see `ss_netsim::Clock` for what
-//! drivers use), never touch a channel, and never perform I/O; the lint
-//! rules D005/D008 enforce this mechanically.
+//! [`crate::receiver::SstpReceiver`]) are sans-I/O: they never read a
+//! clock (time only enters as a `now` argument — see `ss_netsim::Clock`
+//! for what drivers use), never touch a channel, and never perform I/O;
+//! lint rule D005 enforces this mechanically. Their public methods
+//! (`publish`, `on_packet`, `poll_feedback`, …) are the one API, called
+//! alike by the session harness (`crate::session`), the live runtime
+//! (`crate::runtime`) and the exhaustive explorer (`ss-verify`), so the
+//! explorer checks the operations production runs.
 //!
-//! The seam exists for three consumers:
-//!
-//! 1. **The session harness** (`crate::session`), which owns the event
-//!    queue and channels and feeds the machines simulated events.
-//! 2. **The exhaustive explorer** (`ss-verify`), which drives small-scope
-//!    models through *every* interleaving of events and checks
-//!    convergence and safety invariants on each reached state. Pure
-//!    machines make states clonable and hashable, which is what makes
-//!    that search tractable.
-//! 3. **A future async transport** (ROADMAP item 3), which will wrap the
-//!    same machines in real sockets and timers without touching the
-//!    protocol logic.
-//!
-//! The long-standing imperative methods (`publish`, `on_packet`, …)
-//! remain available as thin compatibility shims that construct the
-//! corresponding event and delegate to `step`.
-
-use crate::namespace::{MetaTag, NodeId};
-use crate::wire::Packet;
-use softstate::Key;
-use ss_netsim::SimTime;
-
-/// One input to the sender state machine.
-#[derive(Clone, Debug)]
-pub enum SenderEvent<'a> {
-    /// The application publishes a new ADU under `parent`.
-    /// `payload_len: None` uses the sender's configured default size.
-    Publish {
-        /// Arrival time (stamps the publisher-table record).
-        now: SimTime,
-        /// Namespace node the ADU hangs off.
-        parent: NodeId,
-        /// Application content class.
-        tag: MetaTag,
-        /// Explicit payload size, or `None` for the default.
-        payload_len: Option<u32>,
-    },
-    /// The application replaces a live record with a new version.
-    Update(Key),
-    /// The application withdraws a record (its lifetime ended).
-    Withdraw(Key),
-    /// The application grows the namespace with an interior node.
-    AddBranch {
-        /// Parent node of the new branch.
-        parent: NodeId,
-        /// The branch's content class.
-        tag: MetaTag,
-    },
-    /// The application re-weights a data class's hot bandwidth share.
-    SetClassWeight {
-        /// The class to re-weight.
-        tag: MetaTag,
-        /// New stride weight (0 pauses the class).
-        weight: u64,
-    },
-    /// A packet arrived on the feedback channel.
-    Feedback(&'a Packet),
-    /// The transport has room for one foreground packet.
-    PollHot,
-    /// The transport has room for one background (cold-cycle) packet.
-    PollCycle,
-    /// The periodic summary timer fired.
-    PollSummary,
-}
-
-/// What one sender step produced.
-#[derive(Clone, Debug)]
-pub enum SenderEffect {
-    /// Nothing observable (weight change, ignored packet, …).
-    None,
-    /// A publish created this key.
-    Published(Key),
-    /// A branch was added.
-    Branch(NodeId),
-    /// Whether the withdrawn key was live.
-    Withdrawn(bool),
-    /// Keys a NACK promoted into the hot queue.
-    Promoted(Vec<Key>),
-    /// A packet to transmit (or `None` when the polled queue was empty).
-    Transmit(Option<Packet>),
-}
-
-/// One input to the receiver state machine.
-#[derive(Clone, Debug)]
-pub enum ReceiverEvent<'a> {
-    /// A packet heard on the data channel (or an overheard peer feedback
-    /// packet, for multicast damping).
-    Packet {
-        /// Arrival time.
-        now: SimTime,
-        /// The packet.
-        pkt: &'a Packet,
-    },
-    /// The session asks for all feedback due at or before `now`.
-    PollFeedback {
-        /// The poll instant.
-        now: SimTime,
-    },
-    /// The soft-state expiry sweep runs at `now`.
-    Expire {
-        /// The sweep instant.
-        now: SimTime,
-    },
-}
-
-/// What one receiver step produced.
-#[derive(Clone, Debug)]
-pub enum ReceiverEffect {
-    /// Nothing to transmit or report.
-    None,
-    /// Feedback packets to send (queries first, then batched NACKs).
-    Feedback(Vec<Packet>),
-    /// Keys the expiry sweep removed.
-    Expired(Vec<Key>),
-}
+//! This module holds the explorer's side of that contract: the
+//! [`StateHasher`] the machines fingerprint their semantic state with
+//! (pure machines make states clonable and hashable, which is what makes
+//! the search tractable), the [`MachineError`] their self-checks report,
+//! and the seeded defects ([`TxMutations`], [`RxMutations`]) the
+//! explorer's own test suite must catch.
 
 /// A machine invariant violation found by a self-check, as
 /// `(what, detail)`. Produced by [`crate::sender::SstpSender::self_check`]
@@ -134,9 +28,9 @@ pub type MachineError = String;
 ///
 /// The endpoint machines hash their *semantic* state — tables, queues,
 /// pending feedback, reassembly edges — and deliberately exclude
-/// monotone counters (wire sequence numbers, statistics, event logs):
-/// including those would make every reachable state unique and defeat
-/// the explorer's visited-state deduplication.
+/// monotone counters (wire sequence numbers, statistics): including
+/// those would make every reachable state unique and defeat the
+/// explorer's visited-state deduplication.
 #[derive(Clone, Copy, Debug)]
 pub struct StateHasher(u64);
 
@@ -147,7 +41,6 @@ impl StateHasher {
     }
 
     /// Folds one u64 into the hash.
-    // lint: allow(D008, hash accumulator, not protocol state)
     pub fn write_u64(&mut self, x: u64) {
         for b in x.to_le_bytes() {
             self.0 ^= u64::from(b);
@@ -156,7 +49,6 @@ impl StateHasher {
     }
 
     /// Folds raw bytes into the hash.
-    // lint: allow(D008, hash accumulator, not protocol state)
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
         for &b in bytes {

@@ -17,12 +17,12 @@
 //! session harness polls [`SstpReceiver::poll_feedback`] at fire times.
 
 use crate::digest::HashAlgorithm;
-use crate::machine::{MachineError, ReceiverEffect, ReceiverEvent, RxMutations, StateHasher};
+use crate::machine::{MachineError, RxMutations, StateHasher};
 use crate::namespace::{MetaTag, Namespace, Path};
 use crate::reports::ReceiverReporter;
 use crate::wire::{NackPacket, Packet, RepairQueryPacket};
 use softstate::{Key, SubscriberTable, Value};
-use ss_netsim::{EventKind, EventLog, SimDuration, SimRng, SimTime};
+use ss_netsim::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -136,30 +136,30 @@ pub struct ReceiverStats {
 /// Sans-I/O, like the sender: feed it wire packets with
 /// [`SstpReceiver::on_packet`], drain repair feedback with
 /// [`SstpReceiver::poll_feedback`], and run the soft-state timer with
-/// [`SstpReceiver::expire`]. An optional typed event trace
-/// ([`SstpReceiver::with_event_log`]) records deliveries, expiries,
-/// queries, and NACKs in simulation time:
+/// [`SstpReceiver::expire`]. What a call did shows in the replica and
+/// the counters:
 ///
 /// ```
 /// use sstp::digest::HashAlgorithm;
 /// use sstp::namespace::MetaTag;
 /// use sstp::receiver::{ReceiverConfig, SstpReceiver};
 /// use sstp::sender::SstpSender;
-/// use ss_netsim::{EventKind, SimRng, SimTime};
+/// use ss_netsim::{SimRng, SimTime};
 ///
 /// let mut tx = SstpSender::new(HashAlgorithm::Fnv64, 1000);
 /// let mut rx = SstpReceiver::new(
 ///     ReceiverConfig::unicast(0, HashAlgorithm::Fnv64),
 ///     SimRng::new(7),
-/// )
-/// .with_event_log(64);
+/// );
 ///
 /// let key = tx.publish(SimTime::ZERO, tx.root(), MetaTag(0));
 /// let pkt = tx.next_hot_packet().unwrap();
 /// rx.on_packet(SimTime::from_secs(1), &pkt);
 ///
-/// assert!(rx.replica().get(key).is_some());
-/// assert_eq!(rx.events().of_kind(EventKind::Deliver).count(), 1);
+/// let entry = rx.replica().get(key).expect("installed");
+/// assert_eq!(entry.value.version, 1);
+/// assert_eq!(entry.first_received, SimTime::from_secs(1));
+/// assert_eq!((rx.stats().data_rx, rx.stats().data_applied), (1, 1));
 /// ```
 #[derive(Clone)]
 pub struct SstpReceiver {
@@ -189,9 +189,6 @@ pub struct SstpReceiver {
     next_seq: u64,
     rng: SimRng,
     stats: ReceiverStats,
-    /// Typed event trace (disabled by default; see
-    /// [`SstpReceiver::with_event_log`]).
-    events: EventLog,
     /// Seeded defects for mutation-testing `ss-verify` (all off in
     /// production; see [`RxMutations`]).
     muts: RxMutations,
@@ -216,7 +213,6 @@ impl SstpReceiver {
             next_seq: 0,
             rng,
             stats: ReceiverStats::default(),
-            events: EventLog::disabled(),
             muts: RxMutations::default(),
         }
     }
@@ -227,36 +223,6 @@ impl SstpReceiver {
     pub fn with_mutations(mut self, muts: RxMutations) -> Self {
         self.muts = muts;
         self
-    }
-
-    /// Advances the machine by one event; the single mutation entry
-    /// point. The imperative methods ([`SstpReceiver::on_packet`],
-    /// [`SstpReceiver::poll_feedback`], [`SstpReceiver::expire`]) are
-    /// thin shims over this dispatch — see [`crate::machine`].
-    pub fn step(&mut self, ev: ReceiverEvent) -> ReceiverEffect {
-        match ev {
-            ReceiverEvent::Packet { now, pkt } => {
-                self.apply_packet(now, pkt);
-                ReceiverEffect::None
-            }
-            ReceiverEvent::PollFeedback { now } => {
-                ReceiverEffect::Feedback(self.apply_poll_feedback(now))
-            }
-            ReceiverEvent::Expire { now } => ReceiverEffect::Expired(self.apply_expire(now)),
-        }
-    }
-
-    /// Enables the typed event trace, keeping the first `capacity`
-    /// events (deliveries, expiries, queries, NACKs). Capacity 0 leaves
-    /// tracing off.
-    pub fn with_event_log(mut self, capacity: usize) -> Self {
-        self.events = EventLog::with_capacity(capacity);
-        self
-    }
-
-    /// The typed event trace recorded so far.
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     fn cancel(&mut self, kind: &FbKind) -> bool {
@@ -352,12 +318,7 @@ impl SstpReceiver {
 
     /// Processes a packet heard on the data channel, or an overheard
     /// peer feedback packet (multicast damping).
-    // lint: allow(D008, compat shim delegating to step)
     pub fn on_packet(&mut self, now: SimTime, pkt: &Packet) {
-        let _ = self.step(ReceiverEvent::Packet { now, pkt });
-    }
-
-    fn apply_packet(&mut self, now: SimTime, pkt: &Packet) {
         if let Some(seq) = pkt.data_seq() {
             self.reporter.on_data_channel_packet(seq);
         }
@@ -428,10 +389,7 @@ impl SstpReceiver {
                             payload_len: d.total_len,
                         },
                     );
-                    if changed {
-                        self.stats.data_applied += 1;
-                        self.events.log(now, EventKind::Deliver, d.key.0);
-                    }
+                    self.stats.data_applied += u64::from(changed);
                     self.reasm.remove(&d.key);
                     if !self.muts.keep_pending_on_install {
                         // Data in hand: a pending NACK for it is moot.
@@ -551,15 +509,7 @@ impl SstpReceiver {
     }
 
     /// All feedback due at or before `now`, NACKs batched into one packet.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn poll_feedback(&mut self, now: SimTime) -> Vec<Packet> {
-        match self.step(ReceiverEvent::PollFeedback { now }) {
-            ReceiverEffect::Feedback(pkts) => pkts,
-            _ => unreachable!("PollFeedback yields Feedback"),
-        }
-    }
-
-    fn apply_poll_feedback(&mut self, now: SimTime) -> Vec<Packet> {
         let mut queries = Vec::new();
         let mut nacks = Vec::new();
         while let Some((&slot, _)) = self.pending.first_key_value() {
@@ -577,7 +527,6 @@ impl SstpReceiver {
             .into_iter()
             .map(|path| {
                 self.stats.queries_sent += 1;
-                self.events.log(now, EventKind::Query, path.len() as u64);
                 Packet::RepairQuery(RepairQueryPacket { path })
             })
             .collect();
@@ -585,9 +534,6 @@ impl SstpReceiver {
         for chunk in nacks.chunks(64) {
             self.stats.nacks_sent += 1;
             self.stats.nacked_keys += chunk.len() as u64;
-            for key in chunk {
-                self.events.log(now, EventKind::Nack, key.0);
-            }
             out.push(Packet::Nack(NackPacket {
                 keys: chunk.to_vec(),
             }));
@@ -603,15 +549,7 @@ impl SstpReceiver {
     /// Runs the soft-state expiry sweep; expired entries leave both the
     /// replica and the mirror (so they will be re-fetched if the sender
     /// still announces them). Returns the expired keys.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn expire(&mut self, now: SimTime) -> Vec<Key> {
-        match self.step(ReceiverEvent::Expire { now }) {
-            ReceiverEffect::Expired(keys) => keys,
-            _ => unreachable!("Expire yields Expired"),
-        }
-    }
-
-    fn apply_expire(&mut self, now: SimTime) -> Vec<Key> {
         let horizon = if self.muts.expire_early {
             // Defect: the sweep reaches half a TTL into the future, so
             // entries die while the publisher is still refreshing them.
@@ -624,7 +562,6 @@ impl SstpReceiver {
             self.mirror.remove_adu(key);
             self.reasm.remove(&key);
             self.stats.expired += 1;
-            self.events.log(now, EventKind::Expire, key.0);
         }
         dead
     }
@@ -668,9 +605,8 @@ impl SstpReceiver {
     /// (keys, versions, expiry deadlines), the namespace mirror digest,
     /// scheduled feedback, backoff bookkeeping, and reassembly edges;
     /// deliberately excludes the feedback sequence counter, statistics,
-    /// the reporter, the slotting RNG, and the event log. Takes
-    /// `&mut self` only because the mirror digest is computed lazily.
-    // lint: allow(D008, read-only aside from the lazy digest cache)
+    /// the reporter, and the slotting RNG. Takes `&mut self` only
+    /// because the mirror digest is computed lazily.
     pub fn fingerprint(&mut self) -> u64 {
         let mut h = StateHasher::new();
         h.write_u64(self.replica.len() as u64);
@@ -706,7 +642,7 @@ impl SstpReceiver {
     }
 
     /// Checks the machine's internal representation invariants; the
-    /// explorer calls this after every step. `pending` and
+    /// explorer calls this after every action. `pending` and
     /// `pending_index` must be exact inverses of each other.
     pub fn self_check(&self) -> Result<(), MachineError> {
         if self.pending.len() != self.pending_index.len() {

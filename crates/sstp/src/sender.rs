@@ -13,7 +13,7 @@
 //! The session harness (or a real UDP wrapper) drives it.
 
 use crate::digest::{Digest, HashAlgorithm};
-use crate::machine::{MachineError, SenderEffect, SenderEvent, StateHasher, TxMutations};
+use crate::machine::{MachineError, StateHasher, TxMutations};
 use crate::namespace::{MetaTag, Namespace, NodeId, Path};
 use crate::reports::LossEstimator;
 use crate::wire::{DataPacket, NodeSummaryPacket, Packet, RootSummaryPacket};
@@ -184,40 +184,6 @@ impl SstpSender {
         self
     }
 
-    /// Advances the machine by one event; the single mutation entry
-    /// point. Every imperative method on this type is a thin shim over
-    /// this dispatch — see [`crate::machine`] for why the seam exists.
-    pub fn step(&mut self, ev: SenderEvent) -> SenderEffect {
-        match ev {
-            SenderEvent::Publish {
-                now,
-                parent,
-                tag,
-                payload_len,
-            } => {
-                let len = payload_len.unwrap_or(self.default_payload);
-                SenderEffect::Published(self.apply_publish(now, parent, tag, len))
-            }
-            SenderEvent::Update(key) => {
-                self.apply_update(key);
-                SenderEffect::None
-            }
-            SenderEvent::Withdraw(key) => SenderEffect::Withdrawn(self.apply_withdraw(key)),
-            SenderEvent::AddBranch { parent, tag } => {
-                SenderEffect::Branch(self.ns.add_interior(parent, tag))
-            }
-            SenderEvent::SetClassWeight { tag, weight } => {
-                let c = self.class_for(tag);
-                self.hot_sched.set_weight(c, weight);
-                SenderEffect::None
-            }
-            SenderEvent::Feedback(pkt) => SenderEffect::Promoted(self.apply_feedback(pkt)),
-            SenderEvent::PollHot => SenderEffect::Transmit(self.apply_next_hot()),
-            SenderEvent::PollCycle => SenderEffect::Transmit(self.apply_next_cycle()),
-            SenderEvent::PollSummary => SenderEffect::Transmit(Some(self.apply_summary())),
-        }
-    }
-
     /// The next wire sequence number (shared across all packet types, so
     /// receivers can count losses on the data channel).
     fn bump_seq(&mut self) -> u64 {
@@ -296,12 +262,8 @@ impl SstpSender {
     }
 
     /// Adds an interior namespace node (an application data class).
-    // lint: allow(D008, compat shim delegating to step)
     pub fn add_branch(&mut self, parent: NodeId, tag: MetaTag) -> NodeId {
-        match self.step(SenderEvent::AddBranch { parent, tag }) {
-            SenderEffect::Branch(node) => node,
-            _ => unreachable!("AddBranch yields Branch"),
-        }
+        self.ns.add_interior(parent, tag)
     }
 
     /// The dense class index for `tag`, creating it (weight 1) on first
@@ -321,13 +283,13 @@ impl SstpSender {
     /// §6.1's "the application flexibly controls the amount of bandwidth
     /// allocated to its different data classes". Weight 0 pauses the
     /// class. Classes default to weight 1.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn set_class_weight(&mut self, tag: MetaTag, weight: u64) {
-        let _ = self.step(SenderEvent::SetClassWeight { tag, weight });
+        let c = self.class_for(tag);
+        self.hot_sched.set_weight(c, weight);
     }
 
     /// Appends to a class queue; the stride backlog flag flips when the
-    /// queue goes empty → non-empty here and back in `apply_next_hot`.
+    /// queue goes empty → non-empty here and back in `next_hot_packet`.
     fn push_hot(&mut self, class: usize, item: HotItem) {
         if self.hot[class].is_empty() {
             self.hot_sched.set_backlogged(class, true);
@@ -348,24 +310,15 @@ impl SstpSender {
         self.push_hot(class, HotItem::Data(key));
     }
 
-    /// Publishes a new record under `parent`; it is queued for immediate
-    /// transmission ("a sender transmits new data upon arrival from the
-    /// application"). Returns the new key.
-    // lint: allow(D008, compat shim delegating to step)
+    /// Publishes a new record of the default payload size under
+    /// `parent`; it is queued for immediate transmission ("a sender
+    /// transmits new data upon arrival from the application"). Returns
+    /// the new key.
     pub fn publish(&mut self, now: SimTime, parent: NodeId, tag: MetaTag) -> Key {
-        match self.step(SenderEvent::Publish {
-            now,
-            parent,
-            tag,
-            payload_len: None,
-        }) {
-            SenderEffect::Published(key) => key,
-            _ => unreachable!("Publish yields Published"),
-        }
+        self.publish_sized(now, parent, tag, self.default_payload)
     }
 
     /// [`SstpSender::publish`] with an explicit payload size.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn publish_sized(
         &mut self,
         now: SimTime,
@@ -373,19 +326,7 @@ impl SstpSender {
         tag: MetaTag,
         payload_len: u32,
     ) -> Key {
-        match self.step(SenderEvent::Publish {
-            now,
-            parent,
-            tag,
-            payload_len: Some(payload_len),
-        }) {
-            SenderEffect::Published(key) => key,
-            _ => unreachable!("Publish yields Published"),
-        }
-    }
-
-    fn apply_publish(&mut self, now: SimTime, parent: NodeId, tag: MetaTag, len: u32) -> Key {
-        let rec = self.table.insert_new(now, len);
+        let rec = self.table.insert_new(now, payload_len);
         let leaf = self.ns.add_adu(parent, rec.key, tag);
         let class = self.class_for(tag) as u32;
         assert_eq!(rec.key.0, self.keys.len() as u64, "keys are dense");
@@ -400,12 +341,7 @@ impl SstpSender {
 
     /// Updates an existing record to a new version and queues its
     /// retransmission. Panics on a dead key.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn update(&mut self, key: Key) {
-        let _ = self.step(SenderEvent::Update(key));
-    }
-
-    fn apply_update(&mut self, key: Key) {
         let rec = self.table.update(key);
         // The new version has 0 bytes on the wire until retransmitted.
         self.ns
@@ -416,15 +352,7 @@ impl SstpSender {
     /// Withdraws a record: its lifetime ended. Receivers learn via
     /// summary mismatch (the tombstoned slot) or their own soft-state
     /// expiry. Returns `true` if the key was live.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn withdraw(&mut self, key: Key) -> bool {
-        match self.step(SenderEvent::Withdraw(key)) {
-            SenderEffect::Withdrawn(live) => live,
-            _ => unreachable!("Withdraw yields Withdrawn"),
-        }
-    }
-
-    fn apply_withdraw(&mut self, key: Key) -> bool {
         if self.table.delete(key).is_none() {
             return false;
         }
@@ -437,15 +365,7 @@ impl SstpSender {
     /// keys this packet promoted into the hot queue (non-empty only for
     /// NACKs naming live, not-yet-queued keys), so callers can trace the
     /// NACK → promotion causality.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn on_packet(&mut self, pkt: &Packet) -> Vec<Key> {
-        match self.step(SenderEvent::Feedback(pkt)) {
-            SenderEffect::Promoted(keys) => keys,
-            _ => unreachable!("Feedback yields Promoted"),
-        }
-    }
-
-    fn apply_feedback(&mut self, pkt: &Packet) -> Vec<Key> {
         let mut promoted = Vec::new();
         match pkt {
             Packet::Nack(n) => {
@@ -498,15 +418,7 @@ impl SstpSender {
     /// empty. Dead records and vanished nodes queued earlier are skipped.
     /// An ADU larger than the MTU occupies several consecutive calls, one
     /// fragment each.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn next_hot_packet(&mut self) -> Option<Packet> {
-        match self.step(SenderEvent::PollHot) {
-            SenderEffect::Transmit(pkt) => pkt,
-            _ => unreachable!("PollHot yields Transmit"),
-        }
-    }
-
-    fn apply_next_hot(&mut self) -> Option<Packet> {
         // Continue an in-progress fragmented ADU first.
         if let Some(state) = self.hot_frag.take() {
             if let Some((pkt, rest)) = self.resume_frag(state) {
@@ -560,15 +472,7 @@ impl SstpSender {
     /// classic §3 open-loop refresh stream, used when no feedback channel
     /// exists to repair divergence (announce/listen reliability) and by
     /// late-joiner catch-up. Returns `None` when the table is empty.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn next_cycle_packet(&mut self) -> Option<Packet> {
-        match self.step(SenderEvent::PollCycle) {
-            SenderEffect::Transmit(pkt) => pkt,
-            _ => unreachable!("PollCycle yields Transmit"),
-        }
-    }
-
-    fn apply_next_cycle(&mut self) -> Option<Packet> {
         if let Some(state) = self.cycle_frag.take() {
             if let Some((pkt, rest)) = self.resume_frag(state) {
                 self.cycle_frag = rest;
@@ -593,15 +497,7 @@ impl SstpSender {
     }
 
     /// Builds a background (cold) packet: the periodic root summary.
-    // lint: allow(D008, compat shim delegating to step)
     pub fn summary_packet(&mut self) -> Packet {
-        match self.step(SenderEvent::PollSummary) {
-            SenderEffect::Transmit(Some(pkt)) => pkt,
-            _ => unreachable!("PollSummary yields a packet"),
-        }
-    }
-
-    fn apply_summary(&mut self) -> Packet {
         let seq = self.bump_seq();
         self.stats.root_summaries_tx += 1;
         let current = self.ns.root_digest();
@@ -662,7 +558,6 @@ impl SstpSender {
     /// tie-break RNG (monotone or non-semantic state that would make
     /// every explored state unique). Takes `&mut self` only because the
     /// namespace digest is computed lazily.
-    // lint: allow(D008, read-only aside from the lazy digest cache)
     pub fn fingerprint(&mut self) -> u64 {
         let mut h = StateHasher::new();
         h.write_u64(self.table.live_count() as u64);
@@ -694,7 +589,7 @@ impl SstpSender {
     }
 
     /// Checks the machine's internal representation invariants; the
-    /// explorer calls this after every step. Each queued item must consume
+    /// explorer calls this after every action. Each queued item must consume
     /// its own dedup mark (a key's `queued` bit, a summary's set entry) and
     /// leave none over; a class is flagged backlogged exactly while its
     /// queue is non-empty; every class index must be in range.

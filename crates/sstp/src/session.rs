@@ -20,7 +20,7 @@
 //! lets the receivers' slotting-and-damping suppress duplicate repair
 //! requests in multicast groups.
 
-use crate::allocator::{Allocation, Allocator, AllocatorConfig, BandwidthSource, StaticBandwidth};
+use crate::allocator::{Allocation, Allocator, AllocatorConfig};
 use crate::digest::HashAlgorithm;
 use crate::namespace::{MetaTag, NodeId};
 use crate::receiver::{FeedbackTiming, Interest, ReceiverConfig, ReceiverStats, SstpReceiver};
@@ -31,9 +31,9 @@ use softstate::{ArrivalProcess, Key, LossSpec};
 use ss_netsim::trace::{Actor, TraceId, TraceKind, Tracer};
 use ss_netsim::{
     profile, run_until, run_until_profiled, run_until_traced, AverageId, Bandwidth, CounterId,
-    DurationHistogram, EventKind, EventLog, EventQueue, FaultSchedule, FaultSpec, HistogramId,
-    LossModel, MetricsRegistry, MetricsSnapshot, QueueClass, SimDuration, SimRng, SimTime,
-    SketchId, TracedWorld, WindowedTimeAverage, World,
+    DurationHistogram, EventQueue, FaultSchedule, FaultSpec, HistogramId, LossModel,
+    MetricsRegistry, MetricsSnapshot, QueueClass, SimDuration, SimRng, SimTime, SketchId,
+    TracedWorld, WindowedTimeAverage, World,
 };
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -93,9 +93,6 @@ pub struct SessionConfig {
     pub interests: Option<Vec<Interest>>,
     /// Summary hash algorithm.
     pub algo: HashAlgorithm,
-    /// Event-trace capacity: the session and each receiver keep the
-    /// first this-many typed events (0 disables tracing).
-    pub event_capacity: usize,
     /// Causal-trace capacity: keep the first this-many [`Tracer`] events
     /// (0 disables causal tracing).
     pub trace_capacity: usize,
@@ -137,7 +134,6 @@ impl SessionConfig {
             slot_window: None,
             interests: None,
             algo: HashAlgorithm::Fnv64,
-            event_capacity: 0,
             trace_capacity: 0,
             duration: SimDuration::from_secs(600),
             seed,
@@ -189,9 +185,6 @@ pub struct ReceiverOutcome {
     pub stats: ReceiverStats,
     /// The last sampled instantaneous consistency.
     pub final_consistency: Option<f64>,
-    /// This receiver's typed event trace (empty unless
-    /// [`SessionConfig::event_capacity`] is set).
-    pub events: EventLog,
 }
 
 /// Aggregate packet counters for the whole session.
@@ -235,13 +228,9 @@ pub struct SessionReport {
     /// (`rx.<i>.latency.t_rec`), and engine totals all live here under
     /// stable dotted names.
     pub metrics: MetricsSnapshot,
-    /// Session-level typed event trace: transmissions (announce/summary),
-    /// channel drops, and feedback sends (empty unless
-    /// [`SessionConfig::event_capacity`] is set).
-    pub events: EventLog,
     /// The causal trace: record lifecycles, wire spans, digest exchange,
-    /// and NACK → promotion → retransmit → install chains (empty unless
-    /// [`SessionConfig::trace_capacity`] is set).
+    /// NACK → promotion → retransmit → install chains, and receiver
+    /// expiries (empty unless [`SessionConfig::trace_capacity`] is set).
     pub trace: Tracer,
 }
 
@@ -335,7 +324,6 @@ struct Sim {
     /// Overhearing loss among receivers (reuses fb loss spec).
     overhear_chan: Vec<RxChan>,
     allocator: Allocator,
-    bw_source: StaticBandwidth,
     allocation: Allocation,
     /// The `ss-chaos` schedule (empty = inert, zero draws).
     faults: FaultSchedule,
@@ -384,10 +372,9 @@ struct Sim {
     branches: Vec<NodeId>,
     update_keys: Vec<Key>,
     /// Metrics: every channel counter, per-receiver consistency average
-    /// and latency histogram lives in the registry; typed protocol
-    /// events go to the session event log.
+    /// and latency histogram lives in the registry; protocol events go
+    /// to the causal tracer.
     registry: MetricsRegistry,
-    events: EventLog,
     tracer: Tracer,
     /// Trace id of the latest promotion per key, indexed densely by key
     /// id ([`TraceId::NONE`] = no promotion pending), so the promoted
@@ -472,10 +459,7 @@ impl Sim {
         let receivers: Vec<SstpReceiver> = rx_cfgs
             .iter()
             .enumerate()
-            .map(|(i, rc)| {
-                SstpReceiver::new(rc.clone(), root_rng.derive(&format!("rcv-{i}")))
-                    .with_event_log(cfg.event_capacity)
-            })
+            .map(|(i, rc)| SstpReceiver::new(rc.clone(), root_rng.derive(&format!("rcv-{i}"))))
             .collect();
 
         let chan = |label: &str, spec: LossSpec| -> Vec<RxChan> {
@@ -490,7 +474,6 @@ impl Sim {
         };
 
         let allocator = Allocator::new(cfg.allocator.clone());
-        let bw_source = StaticBandwidth(cfg.total_bandwidth);
         let allocation = allocator.allocate(cfg.total_bandwidth, 0.0, cfg.workload.arrivals.rate());
 
         let mut registry = MetricsRegistry::new();
@@ -517,7 +500,6 @@ impl Sim {
             .collect();
         let sk_trec = registry.sketch("latency.t_rec.sketch");
         let sk_staleness = registry.sketch("staleness.sketch");
-        let events = EventLog::with_capacity(cfg.event_capacity);
 
         // The schedule draws from its own derived stream, so an empty
         // spec consumes nothing and every other stream is unperturbed.
@@ -533,7 +515,6 @@ impl Sim {
             receivers,
             rx_cfgs,
             allocator,
-            bw_source,
             allocation,
             faults,
             degrade: 1.0,
@@ -557,7 +538,6 @@ impl Sim {
             branches,
             update_keys: Vec::new(),
             registry,
-            events,
             tracer: Tracer::with_capacity(cfg.trace_capacity),
             promoted: Vec::new(),
             c_data_tx,
@@ -580,12 +560,12 @@ impl Sim {
 
     /// The feedback rate per receiver, floored so reports can flow.
     fn fb_rate(&self) -> Bandwidth {
+        let floor = self.cfg.total_bandwidth.mul_f64(0.01);
         if !self.cfg.allocator.reliability.feedback {
             // Reports still need a trickle in announce/listen mode to
             // drive the loss estimate; reuse the floor.
-            return self.cfg.total_bandwidth.mul_f64(0.01);
+            return floor;
         }
-        let floor = self.cfg.total_bandwidth.mul_f64(0.01);
         let per = Bandwidth::from_bps(
             self.allocation.feedback.as_bps() / self.cfg.n_receivers.max(1) as u64,
         );
@@ -617,7 +597,6 @@ impl Sim {
             }
             _ => self.publish_one(q),
         }
-        let _ = now;
         self.kick_hot(q);
     }
 
@@ -665,11 +644,10 @@ impl Sim {
         self.registry.inc(c_tx);
         let c_bytes = self.c_data_bytes;
         self.registry.add(c_bytes, bytes as u64);
-        let (kind, key) = match &pkt {
-            Packet::Data(d) => (EventKind::Announce(class), d.key.0),
-            _ => (EventKind::Summary, 0),
+        let key = match &pkt {
+            Packet::Data(d) => d.key.0,
+            _ => 0,
         };
-        self.events.log(q.now(), kind, key);
         let mut tx_time = rate.transmit_time(bytes);
         // Bandwidth-degradation episodes stretch serialization time.
         let factor = self.faults.bandwidth_factor(q.now());
@@ -711,7 +689,6 @@ impl Sim {
             if chan_lost || fault_lost {
                 let c_lost = self.c_data_lost;
                 self.registry.inc(c_lost);
-                self.events.log(q.now(), EventKind::Drop, key);
                 if fault_lost && !chan_lost {
                     let c_fault = self.c_fault_lost;
                     self.registry.inc(c_fault);
@@ -737,7 +714,6 @@ impl Sim {
                 self.registry.inc(c_lost);
                 let c_fault = self.c_fault_lost;
                 self.registry.inc(c_fault);
-                self.events.log(q.now(), EventKind::Drop, key);
                 self.tracer.instant_labeled(
                     q.now(),
                     Actor::Channel,
@@ -834,12 +810,6 @@ impl Sim {
         self.registry.inc(c_tx);
         let c_bytes = self.c_fb_bytes;
         self.registry.add(c_bytes, bytes as u64);
-        let kind = match &*pkt {
-            Packet::Nack(_) => EventKind::Nack,
-            Packet::RepairQuery(_) => EventKind::Query,
-            _ => EventKind::Report,
-        };
-        self.events.log(q.now(), kind, i as u64);
         let depart = q.now() + self.fb_rate().transmit_time(bytes);
         let tkind = match &*pkt {
             Packet::Nack(_) => TraceKind::Nack,
@@ -1022,7 +992,7 @@ impl Sim {
     fn adapt(&mut self, q: &mut EventQueue<Ev>) {
         let _prof = profile::scope("adapt.allocate");
         let now = q.now();
-        let total = self.bw_source.total(now);
+        let total = self.cfg.total_bandwidth;
         let lambda = self.cfg.workload.arrivals.rate();
         let loss = self.sender.estimated_loss();
         // Graceful degradation: sustained heavy reported loss backs the
@@ -1123,8 +1093,18 @@ impl World for Sim {
             }
             Ev::ExpiryTick => {
                 let now = q.now();
-                for r in &mut self.receivers {
-                    r.expire(now);
+                for (i, r) in self.receivers.iter_mut().enumerate() {
+                    let expired = r.expire(now);
+                    if self.tracer.is_enabled() {
+                        for key in expired {
+                            self.tracer.instant(
+                                now,
+                                Actor::Replica(i as u32),
+                                TraceKind::Expire,
+                                key.0,
+                            );
+                        }
+                    }
                 }
                 q.schedule_in(self.cfg.expiry_sweep, Ev::ExpiryTick);
             }
@@ -1150,8 +1130,7 @@ impl World for Sim {
                         .rng_restart
                         .derive(&format!("{i}-{}", self.restart_seq));
                     self.restart_seq += 1;
-                    let fresh = SstpReceiver::new(self.rx_cfgs[i].clone(), stream)
-                        .with_event_log(self.cfg.event_capacity);
+                    let fresh = SstpReceiver::new(self.rx_cfgs[i].clone(), stream);
                     let old = std::mem::replace(&mut self.receivers[i], fresh);
                     self.carried_stats[i] = add_stats(self.carried_stats[i], old.stats());
                     self.fb_queue[i].clear();
@@ -1370,7 +1349,6 @@ pub fn run(cfg: &SessionConfig) -> SessionReport {
             latency: sim.registry.histogram_value(sim.h_latency[i]).clone(),
             stats: add_stats(sim.carried_stats[i], sim.receivers[i].stats()),
             final_consistency: (sim.probe_busy.current() > 0.0).then(|| sim.probe_c[i].current()),
-            events: sim.receivers[i].events().clone(),
         })
         .collect();
 
@@ -1383,7 +1361,6 @@ pub fn run(cfg: &SessionConfig) -> SessionReport {
         final_loss_estimate: sim.sender.estimated_loss(),
         recovery,
         metrics,
-        events: sim.events,
         trace: sim.tracer,
     }
 }
@@ -1519,7 +1496,7 @@ mod tests {
     #[test]
     fn metrics_snapshot_mirrors_report() {
         let mut cfg = base_cfg(9);
-        cfg.event_capacity = 4096;
+        cfg.trace_capacity = 4096;
         let report = run(&cfg);
         // Channel counters are the same numbers the report carries.
         let m = &report.metrics;
@@ -1542,23 +1519,17 @@ mod tests {
         );
         let c = m.time_average("rx.0.consistency");
         assert!((0.0..=1.0).contains(&c), "E[c(t)] = {c}");
-        // The traces saw real protocol activity.
-        use ss_netsim::{EventKind, QueueClass};
-        assert!(
+        // The trace saw real protocol activity.
+        let on = |kind: TraceKind, actor: Actor| {
             report
-                .events
-                .of_kind(EventKind::Announce(QueueClass::Hot))
+                .trace
+                .of_kind(kind)
+                .filter(|e| e.actor == actor)
                 .count()
-                > 0
-        );
-        assert!(report.events.of_kind(EventKind::Summary).count() > 0);
-        assert!(
-            report.receivers[0]
-                .events
-                .of_kind(EventKind::Deliver)
-                .count()
-                > 0
-        );
+        };
+        assert!(on(TraceKind::Announce, Actor::HotServer) > 0);
+        assert!(on(TraceKind::Summary, Actor::ColdServer) > 0);
+        assert!(on(TraceKind::Deliver, Actor::Replica(0)) > 0);
     }
 
     #[test]
@@ -1609,20 +1580,40 @@ mod tests {
     }
 
     #[test]
-    fn zero_event_capacity_disables_traces() {
+    fn zero_trace_capacity_disables_traces() {
         let report = run(&base_cfg(12));
-        assert!(report.events.is_empty());
-        assert_eq!(report.events.dropped(), 0);
-        assert!(report.receivers[0].events.is_empty());
-        // The causal tracer is equally silent at zero capacity.
         assert!(report.trace.is_empty());
         assert_eq!(report.trace.dropped(), 0);
     }
 
+    /// Receiver expiries reach the trace as one `Expire` instant per key
+    /// the sweep removed, and recording them draws no randomness.
+    #[test]
+    fn traced_expiries_match_the_expired_counter() {
+        let mut cfg = base_cfg(15);
+        // Without feedback a root summary refreshes nothing, and only the
+        // cold cycle's re-announcements keep an entry alive; a 5 s TTL
+        // outruns them.
+        cfg.allocator.reliability = ReliabilityLevel::AnnounceListen.into();
+        cfg.ttl = SimDuration::from_secs(5);
+        cfg.trace_capacity = 400_000;
+        let traced = run(&cfg);
+        cfg.trace_capacity = 0;
+        let plain = run(&cfg);
+        assert_eq!(traced.trace.dropped(), 0);
+        assert_eq!(traced.metrics, plain.metrics, "tracing is free");
+        let expired = traced.receivers[0].stats.expired;
+        assert!(expired > 0, "a 5 s TTL must expire entries");
+        let instants = traced
+            .trace
+            .of_kind(TraceKind::Expire)
+            .filter(|e| e.actor == Actor::Replica(0) && e.end.is_none())
+            .count() as u64;
+        assert_eq!(instants, expired);
+    }
+
     #[test]
     fn causal_trace_links_wire_and_lifecycle() {
-        use ss_netsim::trace::TraceKind;
-
         let mut cfg = base_cfg(12);
         cfg.trace_capacity = 400_000;
         let traced = run(&cfg);

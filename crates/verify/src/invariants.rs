@@ -27,7 +27,6 @@
 use crate::model::Model;
 use softstate::Key;
 use ss_netsim::SimDuration;
-use sstp::machine::SenderEvent;
 use sstp::receiver::SstpReceiver;
 use sstp::wire::Packet;
 use std::collections::BTreeMap;
@@ -246,7 +245,8 @@ impl Model {
             + SimDuration::from_micros(self.scope.repair_backoff.as_micros().saturating_mul(17))
             + self.scope.tick;
         self.flush_wire()?;
-        self.emit(SenderEvent::PollSummary)?;
+        let summary = self.sender.summary_packet();
+        self.emit(Some(summary))?;
         self.flush_wire()?;
         for rx in 0..self.receivers.len() {
             self.poll_feedback(rx)?;
@@ -254,10 +254,13 @@ impl Model {
         self.flush_wire()?;
         // Answering queries enqueues node summaries; promoting NACKs
         // enqueues data. Pump until the foreground queue is dry.
-        while self.emit(SenderEvent::PollHot)? {
+        loop {
+            let pkt = self.sender.next_hot_packet();
+            if !self.emit(pkt)? {
+                return Ok(());
+            }
             self.flush_wire()?;
         }
-        Ok(())
     }
 
     /// Delivers everything currently in flight, oldest first.

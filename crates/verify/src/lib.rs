@@ -2,9 +2,10 @@
 //! state machines.
 //!
 //! The SSTP endpoints (`sstp::sender`, `sstp::receiver`) are sans-I/O
-//! machines advanced exclusively through their `step` seams, which
-//! makes them checkable: this crate closes a small-scope system around
-//! them — one sender, a couple of receivers, an adversarial wire with
+//! machines, which makes them checkable: this crate drives them through
+//! the same public methods the session harness and the live runtime
+//! call, closing a small-scope system around them — one sender, a
+//! couple of receivers, an adversarial wire with
 //! loss/duplication/reorder/crash budgets — and explores *every*
 //! interleaving of protocol and adversary moves to a bounded depth
 //! (see [`explore::explore`]), asserting the safety invariants in

@@ -10,15 +10,18 @@
 //! ticks the search may spend), which is what keeps the state space
 //! finite.
 //!
-//! All protocol state advances exclusively through the endpoints'
-//! `step` seam; the model adds nothing but the wire and the adversary.
+//! All protocol state advances through the endpoints' public methods —
+//! the same `publish`, `on_packet`, `poll_feedback`, … the session
+//! harness and the live runtime call — so the explorer checks the
+//! operations production runs; the model adds nothing but the wire and
+//! the adversary.
 
 use crate::invariants::{self, Violation};
 use crate::mutation::MutationSet;
 use softstate::Key;
 use ss_netsim::{SimDuration, SimRng, SimTime};
 use sstp::digest::{Digest, HashAlgorithm};
-use sstp::machine::{ReceiverEffect, ReceiverEvent, SenderEffect, SenderEvent, StateHasher};
+use sstp::machine::StateHasher;
 use sstp::namespace::{MetaTag, NodeId};
 use sstp::receiver::{FeedbackTiming, Interest, ReceiverConfig, SstpReceiver};
 use sstp::sender::SstpSender;
@@ -508,37 +511,34 @@ impl Model {
     pub fn apply(&mut self, act: Action) -> Result<(), Violation> {
         match act {
             Action::Publish => {
-                let ev = SenderEvent::Publish {
-                    now: self.now,
-                    parent: self.root,
-                    tag: MetaTag(0),
-                    payload_len: None,
-                };
-                let _ = self.sender.step(ev);
+                self.sender.publish(self.now, self.root, MetaTag(0));
                 self.publishes_left = self.publishes_left.saturating_sub(1);
             }
             Action::Update { idx } => {
                 if let Some(&key) = self.live_keys().get(idx as usize) {
-                    let _ = self.sender.step(SenderEvent::Update(key));
+                    self.sender.update(key);
                     self.updates_left = self.updates_left.saturating_sub(1);
                 }
             }
             Action::Withdraw { idx } => {
                 if let Some(&key) = self.live_keys().get(idx as usize) {
-                    let _ = self.sender.step(SenderEvent::Withdraw(key));
+                    self.sender.withdraw(key);
                     self.withdraws_left = self.withdraws_left.saturating_sub(1);
                 }
             }
             Action::EmitHot => {
-                self.emit(SenderEvent::PollHot)?;
+                let pkt = self.sender.next_hot_packet();
+                self.emit(pkt)?;
             }
             Action::EmitCycle => {
-                if self.emit(SenderEvent::PollCycle)? {
+                let pkt = self.sender.next_cycle_packet();
+                if self.emit(pkt)? {
                     self.cycles_left = self.cycles_left.saturating_sub(1);
                 }
             }
             Action::EmitSummary => {
-                if self.emit(SenderEvent::PollSummary)? {
+                let pkt = self.sender.summary_packet();
+                if self.emit(Some(pkt))? {
                     self.summaries_left = self.summaries_left.saturating_sub(1);
                 }
             }
@@ -603,13 +603,9 @@ impl Model {
         invariants::post_checks(self)
     }
 
-    /// Pulls one packet from the sender and broadcasts a copy to every
-    /// receiver's flight. Returns whether a packet was produced.
-    pub(crate) fn emit(&mut self, ev: SenderEvent) -> Result<bool, Violation> {
-        let pkt = match self.sender.step(ev) {
-            SenderEffect::Transmit(p) => p,
-            _ => None,
-        };
+    /// Broadcasts a copy of the packet a sender call returned to every
+    /// receiver's flight. Returns whether there was a packet.
+    pub(crate) fn emit(&mut self, pkt: Option<Packet>) -> Result<bool, Violation> {
         let Some(pkt) = pkt else {
             return Ok(false);
         };
@@ -638,7 +634,7 @@ impl Model {
 
     /// Delivers one data-channel packet to receiver `rx`, checking the
     /// no-regression and no-pending-NACK-after-install invariants
-    /// around the step.
+    /// around the delivery.
     pub(crate) fn deliver_data(&mut self, rx: usize, pkt: Packet) -> Result<(), Violation> {
         let pkt = self.mangle_data(pkt);
         let data = match &pkt {
@@ -651,10 +647,7 @@ impl Model {
                 .get(key)
                 .map(|e| e.value.version)
         });
-        let _ = self.receivers[rx].step(ReceiverEvent::Packet {
-            now: self.now,
-            pkt: &pkt,
-        });
+        self.receivers[rx].on_packet(self.now, &pkt);
         if let Some((key, whole, _)) = data {
             let after = self.receivers[rx]
                 .replica()
@@ -670,10 +663,8 @@ impl Model {
 
     /// Fires receiver `rx`'s due feedback into the feedback channel.
     pub(crate) fn poll_feedback(&mut self, rx: usize) -> Result<(), Violation> {
-        let eff = self.receivers[rx].step(ReceiverEvent::PollFeedback { now: self.now });
-        if let ReceiverEffect::Feedback(pkts) = eff {
-            self.fb_flights[rx].extend(pkts);
-        }
+        let pkts = self.receivers[rx].poll_feedback(self.now);
+        self.fb_flights[rx].extend(pkts);
         invariants::post_checks(self)
     }
 
@@ -685,7 +676,7 @@ impl Model {
             Packet::RepairQuery(_) if self.muts.wire.drop_queries => return Ok(()),
             _ => {}
         }
-        let _ = self.sender.step(SenderEvent::Feedback(&pkt));
+        self.sender.on_packet(&pkt);
         invariants::post_checks(self)
     }
 
@@ -698,7 +689,7 @@ impl Model {
             .filter(|(_, e)| replica.deadline_of(e) > self.now)
             .map(|(k, _)| *k)
             .collect();
-        let _ = self.receivers[rx].step(ReceiverEvent::Expire { now: self.now });
+        self.receivers[rx].expire(self.now);
         invariants::check_ttl_respected(&self.receivers[rx], rx, self.now, &safe)?;
         invariants::post_checks(self)
     }

@@ -69,12 +69,14 @@ fn real_protocol_explores_clean_at_smoke_scope() {
     if let Some(cex) = &report.counterexample {
         panic!("real protocol violated an invariant:\n{cex}");
     }
-    // The smoke scope is the floor CI leans on in debug builds; a sudden
-    // drop in reachable states means the adversary lost moves.
-    assert!(
-        report.states > 1000,
-        "smoke scope shrank to {} states",
-        report.states
+    // The smoke scope is the floor CI leans on in debug builds. The
+    // explored graph is pinned exactly: a change in either count means
+    // the adversary gained or lost moves, or the endpoints' behaviour
+    // changed.
+    assert_eq!(
+        (report.states, report.transitions),
+        (1_607, 3_546),
+        "smoke scope's explored graph moved"
     );
     assert!(report.drains > 0, "no quiescent state was drain-checked");
 }

@@ -1,7 +1,8 @@
-//! The prose of EXPERIMENTS.md's §6.1 entries ("Profile-driven
-//! adaptation", "Profile accuracy") checked against the committed CSVs it
-//! describes: every number those paragraphs state is read back here, at
-//! the precision the prose gives it. No simulation runs; a regenerated
+//! The prose of EXPERIMENTS.md's Figure 10 and 11 entries and its §6.1
+//! entries ("Profile-driven adaptation", "Profile accuracy") checked
+//! against the committed CSVs it describes: every number those
+//! paragraphs state is read back here, at the precision the prose gives
+//! it. No simulation runs; a regenerated
 //! `results/` that moves one of these numbers fails the test until the
 //! prose is brought back in line.
 
@@ -34,6 +35,100 @@ fn num(cell: &str) -> f64 {
 /// `x` as the prose writes it, with `decimals` places.
 fn fixed(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
+}
+
+/// The hot share at which a curve knees: the first row whose consistency
+/// is within 0.1 of the curve's plateau. Rows are `(hot share, c)`.
+fn knee(curve: &[(f64, f64)], plateau: f64) -> f64 {
+    curve
+        .iter()
+        .find(|&&(_, c)| c >= plateau - 0.1)
+        .expect("the plateau row itself qualifies")
+        .0
+}
+
+/// The rows at 50–90 % hot share: the plateau the knee curves reach.
+fn plateau_rows(curve: &[(f64, f64)]) -> Vec<f64> {
+    curve
+        .iter()
+        .filter(|&&(share, _)| share >= 0.5 - 1e-9)
+        .map(|&(_, c)| c)
+        .collect()
+}
+
+fn max(xs: &[f64]) -> f64 {
+    xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+}
+
+fn min(xs: &[f64]) -> f64 {
+    xs.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// "Figure 10 — knee with feedback (`fig10`)".
+#[test]
+fn fig10_prose_matches_fig10_csv() {
+    let rows = csv("fig10");
+    let curve: Vec<(f64, f64)> = rows.iter().map(|r| (num(&r[0]), num(&r[1]))).collect();
+    let shares: Vec<String> = curve.iter().map(|&(s, _)| fixed(100.0 * s, 0)).collect();
+    assert_eq!(
+        shares,
+        ["10", "20", "30", "40", "50", "60", "70", "80", "90"]
+    );
+    let c = |share: usize| curve[share / 10 - 1].1;
+
+    // The plateau (50–90 %) never drops below 0.99, and the knee — the
+    // first share within 0.1 of it — sits at the predicted 15/38 ≈ 39 %.
+    let plateau = plateau_rows(&curve);
+    assert!(min(&plateau) >= 0.99);
+    let knee = knee(&curve, max(&plateau));
+    assert!((0.35..=0.45).contains(&knee), "knee at {knee}");
+
+    // 0.001 at 10 % with a hot backlog of 21k, 0.60 at 30 %, 0.92 at
+    // 40 %, 0.994 at 50 %, then flat 0.994 → 0.991 through 90 %.
+    assert_eq!(fixed(c(10), 3), "0.001");
+    assert_eq!(fixed(num(&rows[0][2]) / 1000.0, 0), "21");
+    assert_eq!([c(30), c(40)].map(|x| fixed(x, 2)), ["0.60", "0.92"]);
+    assert_eq!(
+        [c(50), max(&plateau), c(90)].map(|x| fixed(x, 3)),
+        ["0.994", "0.994", "0.991"]
+    );
+}
+
+/// "Figure 11 — knee curves per loss rate (`fig11`)".
+#[test]
+fn fig11_prose_matches_fig11_csv() {
+    let rows = csv("fig11");
+    let shares: Vec<f64> = rows.iter().map(|r| num(&r[0])).collect();
+    let mut plateaus = Vec::new();
+    let mut spreads = Vec::new();
+    let mut knees = Vec::new();
+    for col in 1..=5 {
+        let curve: Vec<(f64, f64)> = shares
+            .iter()
+            .zip(&rows)
+            .map(|(&s, r)| (s, num(&r[col])))
+            .collect();
+        // The hot/cold split barely matters once arrivals are absorbed:
+        // each curve varies by < 0.07 across the 50–90 % rows.
+        let plateau = plateau_rows(&curve);
+        let spread = max(&plateau) - min(&plateau);
+        assert!(spread < 0.07, "column {col}: spread {spread}");
+        spreads.push(spread);
+        plateaus.push(max(&plateau));
+        knees.push(fixed(100.0 * knee(&curve, max(&plateau)), 0));
+    }
+    // Loss caps the attainable level: the plateaus fall with loss.
+    assert!(plateaus.windows(2).all(|w| w[0] > w[1]), "{plateaus:?}");
+    assert_eq!(
+        plateaus.iter().map(|&p| fixed(p, 4)).collect::<Vec<_>>(),
+        ["0.9998", "0.9753", "0.9345", "0.8516", "0.7363"]
+    );
+    // The widest spread is 0.0696, at 50 % loss.
+    assert_eq!(fixed(max(&spreads), 4), "0.0696");
+    assert_eq!(spreads.iter().position(|&s| s == max(&spreads)), Some(4));
+    // The curves knee at 40 % hot share at 1 % loss and at 50 % from
+    // 20 % loss on.
+    assert_eq!(knees, ["40", "50", "50", "50", "50"]);
 }
 
 /// "Profile-driven adaptation (`adapt`) — §6.1".

@@ -1,5 +1,5 @@
 //! Makes the determinism lint load-bearing under plain `cargo test`:
-//! the suite fails if any workspace source violates rules D001-D004,
+//! the suite fails if any workspace source violates rules D001-D011,
 //! even when `cargo run -p ss-lint` is not wired into the local loop.
 
 #[test]
