@@ -21,7 +21,10 @@ use ss_bench::{
     all_experiments, find_experiment, metrics_dir, profile_dir, results_dir, traces_dir,
 };
 use ss_netsim::ARTIFACT_SCHEMA_VERSION;
-// lint: allow(D001, wall-clock progress reporting for the human running the suite)
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock progress reporting for the human running the suite"
+)]
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -43,7 +46,10 @@ fn run_one(id: &str, fast: bool) -> Result<(), ()> {
         eprintln!("unknown experiment '{id}'");
         usage();
     };
-    // lint: allow(D001, timing printed to the operator; never feeds results)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "timing printed to the operator; never feeds results"
+    )]
     let started = Instant::now();
     println!("# {} — {}", exp.id, exp.description);
     let output = (exp.run)(fast);
@@ -154,7 +160,10 @@ fn run_bench(fast: bool) -> Result<(), ()> {
     let mut total_s = 0.0f64;
     let mut total_events = 0u64;
     for e in all_experiments() {
-        // lint: allow(D001, bench subcommand measures wall time by design)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the bench subcommand measures wall time by design"
+        )]
         let started = Instant::now();
         let output = (e.run)(fast);
         let wall_s = started.elapsed().as_secs_f64();
@@ -435,7 +444,10 @@ fn main() {
         "bench" => run_bench(fast),
         "bench-check" => run_bench_check(tolerance),
         "all" => {
-            // lint: allow(D001, timing printed to the operator; never feeds results)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "timing printed to the operator; never feeds results"
+            )]
             let started = Instant::now();
             let mut ok = Ok(());
             for e in all_experiments() {

@@ -16,6 +16,10 @@
 //! Nothing here draws randomness, reads a clock, or touches a channel:
 //! inputs are booleans the caller already drew, outputs are plain data.
 
+// D005 (DESIGN.md §8): the machine is sans-I/O; `clippy.toml` bans the
+// file, socket and process types workspace-wide.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use super::TransitionCounts;
 
 /// One Table 1 state change, observed at a service completion.

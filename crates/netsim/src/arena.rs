@@ -19,8 +19,8 @@
 //! records (slot order reflects allocation history). Callers that emit
 //! per-record output in bulk — e.g. a crash wiping every live record —
 //! must order that traversal by a stable record key, not by slot index,
-//! to keep artifacts byte-identical (ss-lint rule D005 applies to what
-//! is *written*, not to internal storage).
+//! to keep artifacts byte-identical (the determinism rules of DESIGN.md
+//! §8 govern what is *written*, not internal storage).
 
 use core::fmt;
 

@@ -29,8 +29,8 @@
 //! randomness and perturbs nothing: every pre-existing run is
 //! byte-identical with `FaultSpec::default()`. Scripted and seeded
 //! ([`FaultSpec::generate`]) schedules replay bit-for-bit because both
-//! the episode list and every draw derive from seeds alone (ss-lint
-//! D001/D003 apply here as everywhere).
+//! the episode list and every draw derive from seeds alone (determinism
+//! rules D001/D003, `clippy.toml`, apply here as everywhere).
 //!
 //! # Observability
 //!

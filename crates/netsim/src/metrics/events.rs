@@ -4,7 +4,7 @@
 //! [`EventLog`] records **typed** protocol events — announce, deliver,
 //! drop, expire, NACK, hot/cold queue transitions — so experiments and
 //! external tooling can consume a machine-readable account of a run.
-//! Events carry only sim time (ss-lint rule D001: no wall clock), so a
+//! Events carry only sim time (D001 in `clippy.toml`: no wall clock), so a
 //! log is byte-identical across double runs with the same seed.
 
 use crate::time::SimTime;

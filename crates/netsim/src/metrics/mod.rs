@@ -7,7 +7,7 @@
 //! sim-time histograms, quantile sketches, and windowed time averages
 //! (the workspace's one integrator), plus a typed [`EventLog`] of
 //! protocol events. Everything is keyed by **sim time**
-//! only (ss-lint rule D001), uses ordered containers (D002), and takes
+//! only (D001 in `clippy.toml`), uses ordered containers (D002), and takes
 //! no ambient randomness (D003), so a [`MetricsSnapshot`] — and its
 //! JSONL export — is byte-identical across double runs with one seed.
 //!

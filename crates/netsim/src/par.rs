@@ -15,7 +15,7 @@
 //! channel; the caller's thread reassembles the dense result vector by
 //! index. RNG streams cannot interleave because each point derives all
 //! of its randomness from its own seed — nothing ambient is drawn
-//! (ss-lint rule D003).
+//! (determinism rule D003, DESIGN.md §8).
 //!
 //! Worker count resolution, highest priority first:
 //!
@@ -71,10 +71,10 @@ where
 ///
 /// Determinism contract: `f` must derive everything it computes from its
 /// arguments alone (each sweep point owns its seed), which every
-/// simulation in this workspace already guarantees under ss-lint rules
-/// D001–D003. Under that contract the returned vector — and anything
-/// serialized from it in order — is byte-identical for every worker
-/// count, including 1.
+/// simulation in this workspace already guarantees under determinism
+/// rules D001–D003 (`clippy.toml`, DESIGN.md §8). Under that contract
+/// the returned vector — and anything serialized from it in order — is
+/// byte-identical for every worker count, including 1.
 ///
 /// A panic inside `f` propagates to the caller once the pool has joined
 /// (the panicking run's output is lost; no partial vector is returned).

@@ -44,7 +44,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-// lint: allow(D001, the profiler is the sanctioned wall-clock reader; wall fields never reach committed artifacts)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the profiler is the sanctioned wall-clock reader; wall fields never reach committed artifacts"
+)]
 use std::time::Instant;
 
 /// Phase name the engine's profiled loop charges each queue pop to. The
@@ -102,7 +105,10 @@ pub fn is_enabled() -> bool {
 /// entry and exit.
 #[must_use = "a phase scope measures until it is dropped"]
 pub struct Scope {
-    // lint: allow(D001, wall side of the profiler; quarantined to *.wall.jsonl)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall side of the profiler; quarantined to *.wall.jsonl"
+    )]
     start: Option<Instant>,
 }
 
@@ -118,7 +124,10 @@ fn enter(prefix: &str, name: &str) -> Scope {
         p.path.push_str(name);
     });
     Scope {
-        // lint: allow(D001, wall side of the profiler; quarantined to *.wall.jsonl)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "wall side of the profiler; quarantined to *.wall.jsonl"
+        )]
         start: Some(Instant::now()),
     }
 }

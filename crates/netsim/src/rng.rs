@@ -12,8 +12,8 @@ use crate::time::SimDuration;
 /// `rand`'s 64-bit `SmallRng` uses, implemented locally so the
 /// simulation stack has **zero** external randomness dependencies and
 /// every draw is a pure function of the seed. No constructor reads the
-/// OS entropy pool or the clock; determinism rule D003 (`ss-lint`)
-/// forbids any other randomness source in the workspace.
+/// OS entropy pool or the clock, and determinism rule D003 (DESIGN.md §8)
+/// keeps any other randomness source out of the workspace.
 #[derive(Clone, Debug)]
 struct Xoshiro256PlusPlus {
     s: [u64; 4],

@@ -38,9 +38,9 @@
 //! counted in [`Tracer::dropped`] but not stored — never a ring, because
 //! a ring's contents depend on how the run *ends* rather than how it
 //! *begins* and make prefix comparisons between runs meaningless. All
-//! state lives in `Vec`s and `BTreeMap`s (ss-lint D002) and every
-//! timestamp is sim time (D001), so exports are byte-identical across
-//! double runs and sweep-worker counts.
+//! state lives in `Vec`s and `BTreeMap`s (D002 in `clippy.toml`) and
+//! every timestamp is sim time (D001), so exports are byte-identical
+//! across double runs and sweep-worker counts.
 //!
 //! A disabled tracer ([`Tracer::disabled`], capacity 0) records nothing
 //! and costs one branch per call, like the old `Trace` ring it replaces.
@@ -264,7 +264,10 @@ impl Tracer {
 
     /// Appends one event, honoring the prefix bound. Returns the new id,
     /// or [`TraceId::NONE`] when disabled or full.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per TraceEvent field; private, called only by the typed loggers"
+    )]
     fn push(
         &mut self,
         parent: TraceId,
@@ -369,7 +372,6 @@ impl Tracer {
     }
 
     /// Logs a closed span with an explicit causal parent.
-    #[allow(clippy::too_many_arguments)]
     pub fn span_under(
         &mut self,
         at: SimTime,

@@ -127,6 +127,10 @@ fn main() {
             };
             let line = history_line(&bench, &label);
             use std::io::Write as _;
+            #[expect(
+                clippy::disallowed_types,
+                reason = "the report CLI appends the history ledger; no state machine reaches it"
+            )]
             let mut f = match std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)

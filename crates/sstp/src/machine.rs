@@ -18,6 +18,10 @@
 //! and the seeded defects ([`TxMutations`], [`RxMutations`]) the
 //! explorer's own test suite must catch.
 
+// D005 (DESIGN.md §8): the machine is sans-I/O; `clippy.toml` bans the
+// file, socket and process types workspace-wide.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 /// A machine invariant violation found by a self-check, as
 /// `(what, detail)`. Produced by [`crate::sender::SstpSender::self_check`]
 /// and [`crate::receiver::SstpReceiver::self_check`]; the `ss-verify`

@@ -16,6 +16,10 @@
 //! slotting-and-damping scheme the paper imports from SRM/wb. The
 //! session harness polls [`SstpReceiver::poll_feedback`] at fire times.
 
+// D005 (DESIGN.md §8): the machine is sans-I/O; `clippy.toml` bans the
+// file, socket and process types workspace-wide.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use crate::digest::HashAlgorithm;
 use crate::machine::{MachineError, RxMutations, StateHasher};
 use crate::namespace::{MetaTag, Namespace, Path};

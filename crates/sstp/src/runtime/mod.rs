@@ -88,39 +88,54 @@ use ss_netsim::{
 use std::collections::{BTreeSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use supervisor::{Supervisor, SupervisorConfig};
 
-/// Maps wall-clock instants onto the protocol's [`SimTime`] axis.
-///
-/// The runtime's counterpart of the sim's virtual clock: `SimTime::ZERO`
-/// is the instant the clock was created, and every protocol deadline is
-/// computed on the `SimTime` axis so the state machines cannot tell the
-/// difference. This is the **only** place where the workspace reads a
-/// wall clock — ss-lint's D001 enforces that.
-#[derive(Clone, Copy, Debug)]
-pub struct WallClock {
-    epoch: Instant,
-}
+pub use wall::WallClock;
 
-impl WallClock {
-    /// A clock whose epoch is now.
-    pub fn start() -> Self {
-        WallClock {
-            epoch: Instant::now(),
+/// The runtime's clock boundary. A module of its own so that one
+/// `#![expect]` covers it: the derive expansions on [`WallClock`]
+/// re-report its `Instant` field past item- and field-level attributes.
+mod wall {
+    #![expect(
+        clippy::disallowed_types,
+        reason = "the runtime's clock boundary maps actual time onto SimTime"
+    )]
+
+    use ss_netsim::{Clock, SimTime};
+    use std::time::{Duration, Instant};
+
+    /// Maps wall-clock instants onto the protocol's [`SimTime`] axis.
+    ///
+    /// The runtime's counterpart of the sim's virtual clock: `SimTime::ZERO`
+    /// is the instant the clock was created, and every protocol deadline is
+    /// computed on the `SimTime` axis so the state machines cannot tell the
+    /// difference. This is the **only** place where the protocol stack reads
+    /// a wall clock — `clippy.toml`'s D001 ban enforces that.
+    #[derive(Clone, Copy, Debug)]
+    pub struct WallClock {
+        epoch: Instant,
+    }
+
+    impl WallClock {
+        /// A clock whose epoch is now.
+        pub fn start() -> Self {
+            WallClock {
+                epoch: Instant::now(),
+            }
+        }
+
+        /// The span from `now()` until `t`, as a std [`Duration`] for socket
+        /// timeouts (zero when `t` is already past).
+        pub fn until(&self, t: SimTime) -> Duration {
+            Duration::from_micros(t.saturating_since(self.now()).as_micros())
         }
     }
 
-    /// The span from `now()` until `t`, as a std [`Duration`] for socket
-    /// timeouts (zero when `t` is already past).
-    pub fn until(&self, t: SimTime) -> Duration {
-        Duration::from_micros(t.saturating_since(self.now()).as_micros())
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+    impl Clock for WallClock {
+        fn now(&self) -> SimTime {
+            SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+        }
     }
 }
 
@@ -186,9 +201,11 @@ impl RuntimeConfig {
 
 /// One session's endpoint state: the protocol machine plus its periodic
 /// deadlines. All deadlines live on the [`SimTime`] axis.
-// The publisher is the larger machine by a third; boxing it would cost a
-// pointer chase per packet to save that third on subscriber slots only.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the publisher is the larger machine by a third; boxing it would cost a pointer \
+              chase per packet to save that third on subscriber slots only"
+)]
 enum Endpoint {
     Publisher {
         sender: SstpSender,

@@ -26,7 +26,12 @@ use crate::wire::{Packet, WireError, HEADER_OVERHEAD};
 use bytes::{BufMut, BytesMut};
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the mux owns the runtime's one socket; no other code touches the network"
+)]
+use std::net::UdpSocket;
 use std::time::Duration;
 
 /// The longest a single [`SocketMux::wait`] may block: later deadlines
@@ -230,6 +235,10 @@ const EMSGSIZE: i32 = 10_040;
 
 /// The shared nonblocking socket plus the frame codec state.
 pub struct SocketMux {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the mux owns the runtime's one socket; no other code touches the network"
+    )]
     socket: UdpSocket,
     peer: SocketAddr,
     rx_buf: Vec<u8>,
@@ -248,6 +257,10 @@ pub struct SocketMux {
 impl SocketMux {
     /// Binds a nonblocking socket at `bind`, targeting `peer`.
     pub fn bind(bind: SocketAddr, peer: SocketAddr) -> io::Result<Self> {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the mux owns the runtime's one socket; no other code touches the network"
+        )]
         let socket = UdpSocket::bind(bind)?;
         socket.set_nonblocking(true)?;
         Ok(SocketMux {

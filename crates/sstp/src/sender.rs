@@ -12,6 +12,10 @@
 //! queue, [`SstpSender::summary_packet`] for the cold/background stream).
 //! The session harness (or a real UDP wrapper) drives it.
 
+// D005 (DESIGN.md §8): the machine is sans-I/O; `clippy.toml` bans the
+// file, socket and process types workspace-wide.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use crate::digest::{Digest, HashAlgorithm};
 use crate::machine::{MachineError, StateHasher, TxMutations};
 use crate::namespace::{MetaTag, Namespace, NodeId, Path};
@@ -1236,8 +1240,9 @@ mod tests {
         s.on_packet(&Packet::RepairQuery(crate::wire::RepairQueryPacket {
             path: vec![],
         }));
-        // The node summary appears within the first few slots (control
-        // weight 4 vs data weight 1).
+        // The node summary appears within the first few slots: the control
+        // and data classes share the stride scheduler at equal weight 1
+        // (`SstpSender::new`), so the queued data cannot starve it.
         let mut found_at = None;
         for i in 0..6 {
             if matches!(s.next_hot_packet().unwrap(), Packet::NodeSummary(_)) {

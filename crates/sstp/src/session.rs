@@ -1072,6 +1072,7 @@ impl World for Sim {
                 self.fb_due_at[i] = None;
                 let _prof = profile::scope("feedback.poll");
                 let pkts = self.receivers[i].poll_feedback(q.now());
+                // lint: allow(D010, bounded send queue; kick_fb drains it at the fb service rate)
                 self.fb_queue[i].extend(pkts);
                 self.kick_fb(q, i);
                 self.arm_feedback(q, i);

@@ -13,6 +13,14 @@
 //! sequence gaps, RTCP-style (§6.1 "the average packet loss rate,
 //! periodically obtained from RTCP-like receiver reports").
 
+// D004 (DESIGN.md §8): decoding untrusted bytes must be total.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
+
 use crate::digest::Digest;
 use crate::namespace::{ChildEntry, MetaTag, Path};
 use bytes::{Buf, BufMut, Bytes, BytesMut};

@@ -9,9 +9,10 @@
 //! refresh touches no heap, and the runtime's queues and sessions can be
 //! priced in heap bytes.
 
-// The workspace denies `unsafe_code`; a `GlobalAlloc` impl cannot be
-// written without it, and it is confined to this test binary.
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "a GlobalAlloc impl cannot be written without it; confined to this test binary"
+)]
 
 use bytes::BytesMut;
 use proptest::prelude::*;

@@ -143,7 +143,10 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // lint: allow(D001, CLI wall-clock for the runtime report, not simulation time)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "CLI wall-clock for the runtime report, not simulation time"
+    )]
     let started = std::time::Instant::now();
 
     if args.all_mutations {

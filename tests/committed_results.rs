@@ -1,5 +1,6 @@
-//! The prose of EXPERIMENTS.md's Figure 10 and 11 entries and its §6.1
-//! entries ("Profile-driven adaptation", "Profile accuracy") checked
+//! The prose of EXPERIMENTS.md's Figure 10 and 11 entries, its §6.1
+//! entries ("Profile-driven adaptation", "Profile accuracy") and its §6
+//! "Multicast feedback suppression" entry checked
 //! against the committed CSVs it describes: every number those
 //! paragraphs state is read back here, at the precision the prose gives
 //! it. No simulation runs; a regenerated
@@ -268,4 +269,35 @@ fn profile_argmax_prose_matches_csv() {
     assert_eq!([&picks[at25][1], &picks[at25][2]], ["10", "25"]);
     assert_eq!(fixed(num(&rows[at25][3]), 4), "0.0022");
     assert_eq!(picks.len(), 4);
+}
+
+/// "Multicast feedback suppression (`multicast`) — §6".
+#[test]
+fn multicast_prose_matches_multicast_csv() {
+    let rows = csv("multicast");
+    let col = |i: usize| rows.iter().map(|r| num(&r[i])).collect::<Vec<f64>>();
+    let (receivers, fb, per_rcv, damped) = (col(0), col(1), col(2), col(3));
+    assert_eq!(receivers, [1.0, 2.0, 4.0, 8.0, 16.0]);
+
+    // Per-receiver feedback falls with every doubling, 779 → 369.8, to
+    // 47 % of the unicast figure.
+    assert!(per_rcv.windows(2).all(|w| w[1] < w[0]), "{per_rcv:?}");
+    let last = rows.len() - 1;
+    assert_eq!(
+        [fixed(per_rcv[0], 0), fixed(per_rcv[last], 1)],
+        ["779", "369.8"]
+    );
+    assert_eq!(fixed(100.0 * per_rcv[last] / per_rcv[0], 0), "47");
+
+    // At 16 receivers damping drops 32 % of the scheduled requests (2,823
+    // of 8,740), and total feedback grows 7.6× over unicast.
+    let scheduled = fb[last] + damped[last];
+    assert_eq!([damped[last], scheduled], [2823.0, 8740.0]);
+    assert_eq!(fixed(100.0 * damped[last] / scheduled, 0), "32");
+    assert_eq!(fixed(fb[last] / fb[0], 1), "7.6");
+
+    // Consistency rounds to 0.99 at every group size.
+    for c in col(4) {
+        assert_eq!(fixed(c, 2), "0.99", "consistency {c}");
+    }
 }

@@ -1,7 +1,8 @@
 //! The double-run reproducibility harness.
 //!
-//! The claim the `ss-lint` rules exist to protect: every simulation
-//! result is a pure function of its configuration and seed. This test
+//! The claim the determinism rules (`clippy.toml`, DESIGN.md §8)
+//! protect: every simulation result is a pure function of its
+//! configuration and seed. This test
 //! drives the Figure 5 two-queue experiment end to end **twice** with the
 //! same seed and requires the serialized reports to be byte-identical —
 //! not merely "statistically close". Any nondeterminism that creeps in
@@ -53,7 +54,7 @@ fn same_seed_is_byte_identical() {
     assert!(
         a == b,
         "two runs with the same seed diverged; a determinism invariant \
-         (D001-D003) has been violated somewhere in the stack"
+         (D001-D003, DESIGN.md §8) has been violated somewhere in the stack"
     );
 }
 
