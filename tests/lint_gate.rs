@@ -6,8 +6,9 @@
 //! carries D009. This file runs that clippy over the workspace, pins each
 //! rule's seeded violations in `tests/lint_fixtures/` to their lines (so a
 //! typo'd path in `clippy.toml` fails here instead of passing silently),
-//! and holds the residue clippy has no lint for: D007, D008 and D010, a
-//! line scan of the simulation crates.
+//! holds the residue clippy has no lint for: D007, D008 and D010, a line
+//! scan of the simulation crates, and keeps `clippy.toml`, DESIGN.md's
+//! rule table and the places that may suppress a ban in step.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -254,9 +255,7 @@ fn annotations(comment: &str) -> Vec<Option<Vec<&'static str>>> {
 /// (it then suppresses nothing) or stale. An annotation covers its line
 /// and the next.
 fn residue(path: &str, src: &str) -> Vec<(&'static str, usize)> {
-    let sim = SIM_SRC
-        .iter()
-        .any(|c| path.starts_with(&format!("crates/{c}/src/")));
+    let sim = is_sim_source(path);
     let machine = MACHINE_FILES.contains(&path);
     // D010 points handlers at the sketch module; it may accumulate.
     let d010 = sim && path != "crates/netsim/src/metrics/sketch.rs";
@@ -279,9 +278,21 @@ fn residue(path: &str, src: &str) -> Vec<(&'static str, usize)> {
             |names: &[&str], arg: &str| names.iter().any(|m| code.contains(&format!(".{m}({arg}")));
         let registers = calls(&["counter", "gauge", "histogram", "time_average"], "\"");
         let mutates = calls(&["inc", "add", "observe", "record_sample", "set_gauge"], "");
-        let mut_accessor = code.contains("pub fn ") && code.contains("-> &mut ");
+        // Any `pub` visibility, and `&mut` anywhere in the return type.
+        let ret = code
+            .rsplit_once("-> ")
+            .map(|(_, r)| r.split('{').next().unwrap_or(r));
+        let mut_accessor = code.trim_start().starts_with("pub")
+            && code.contains("fn ")
+            && ret.is_some_and(|r| r.contains("&mut "));
         let grows = calls(&["push", "push_back", "push_front", "insert", "extend"], "");
-        let in_body = handler.is_some_and(|(d, open)| open && depth > d);
+        let opens = handler.is_none() && code.contains("fn handle");
+        if opens {
+            handler = Some((depth, false));
+        }
+        // A body that opens on the signature line starts there.
+        let in_body =
+            handler.is_some_and(|(d, open)| open && depth > d) || (opens && code.contains('{'));
         let fired: Vec<&str> = [
             ("D007", sim && registers && mutates),
             ("D008", machine && mut_accessor),
@@ -302,13 +313,12 @@ fn residue(path: &str, src: &str) -> Vec<(&'static str, usize)> {
                 out.push(("D009", n - 1));
             }
         }
-        if handler.is_none() && code.contains("fn handle") {
-            handler = Some((depth, false));
-        }
         depth += code.matches('{').count() as i32 - code.matches('}').count() as i32;
         handler = match handler {
             Some((d, _)) if depth > d => Some((d, true)),
             Some((_, true)) => None,
+            // A one-line body, or a trait declaration without one.
+            Some(_) if code.contains('{') || code.trim_end().ends_with(';') => None,
             open => open,
         };
         (prev_anns, prev_fired) = (anns, fired);
@@ -316,10 +326,9 @@ fn residue(path: &str, src: &str) -> Vec<(&'static str, usize)> {
     out
 }
 
-#[test]
-fn simulation_crates_pass_the_residue() {
-    let mut dirs: Vec<String> = SIM_SRC.map(|c| format!("crates/{c}/src")).into();
-    let (mut files, mut hits) = (0, vec![]);
+/// The workspace-relative paths of the `.rs` files under `dirs`, sorted.
+fn sources(mut dirs: Vec<String>) -> Vec<String> {
+    let mut files = vec![];
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(root().join(&dir)).expect("read source dir") {
             let name = entry.expect("dir entry").file_name();
@@ -327,14 +336,30 @@ fn simulation_crates_pass_the_residue() {
             if root().join(&rel).is_dir() {
                 dirs.push(rel);
             } else if rel.ends_with(".rs") {
-                files += 1;
-                let found = residue(&rel, &read(&root().join(&rel)));
-                hits.extend(found.iter().map(|(r, n)| format!("{rel}:{n}: {r}")));
+                files.push(rel);
             }
         }
     }
+    files.sort();
+    files
+}
+
+fn is_sim_source(path: &str) -> bool {
+    SIM_SRC
+        .iter()
+        .any(|c| path.starts_with(&format!("crates/{c}/src/")))
+}
+
+#[test]
+fn simulation_crates_pass_the_residue() {
+    let files = sources(SIM_SRC.map(|c| format!("crates/{c}/src")).into());
+    let mut hits = vec![];
+    for rel in &files {
+        let found = residue(rel, &read(&root().join(rel)));
+        hits.extend(found.iter().map(|(r, n)| format!("{rel}:{n}: {r}")));
+    }
     // A wrong root must not read as a clean tree.
-    assert!(files > 50, "found only {files} sources");
+    assert!(files.len() > 50, "found only {} sources", files.len());
     assert!(
         hits.is_empty(),
         "determinism residue (DESIGN.md §8; D009 = a `// lint: allow` that is stale or lacks a \
@@ -426,4 +451,239 @@ fn f<'a>(x: &'a str) {}
 #[cfg(test)]
 fn handle(&mut self) { v.push(1); }";
     assert!(residue("crates/sstp/src/machine.rs", src).is_empty());
+}
+
+#[test]
+fn residue_annotation_covers_its_line_and_the_next_only() {
+    let core = "crates/core/src/x.rs";
+    let src = "fn handle() {
+    v.push(1); // lint: allow(D010, bounded, drained by flush)
+    v.push(2);
+    v.push(3);
+}";
+    assert_eq!(residue(core, src), [("D010", 4)]);
+    // Two lines above, it covers nothing and is stale.
+    let src = "fn handle() {
+    // lint: allow(D010, bounded, drained by flush)
+    let x = 1;
+    v.push(x);
+}";
+    assert_eq!(residue(core, src), [("D009", 2), ("D010", 4)]);
+}
+
+#[test]
+fn residue_d010_handler_ends_at_its_closing_brace() {
+    let src = "fn handle(&mut self, ev: Ev) {
+    match ev {
+        Ev::A => { self.log.push(1); }
+        Ev::B => {}
+    }
+    self.tail.push(2);
+}
+fn not_a_handler(&mut self) { self.v.push(3); }
+fn handle_timer(&mut self) {
+    self.v.push(4);
+}
+fn flush(&mut self) {
+    self.v.push(5);
+}";
+    let hits = [("D010", 3), ("D010", 6), ("D010", 10)];
+    assert_eq!(residue("crates/sstp/src/x.rs", src), hits);
+}
+
+#[test]
+fn residue_d010_one_line_handlers_and_declarations_end_at_once() {
+    // A bodiless declaration must not hand its scope to the next body,
+    // and a one-line body is scanned on its line.
+    let src = "trait World {
+    fn handle(&mut self, ev: Ev);
+}
+fn run_until(w: &mut impl World) {
+    pending.push(1);
+}
+fn handle(&mut self, ev: Ev) { self.log.push(ev); }
+fn drain(&mut self) {
+    self.out.push(2);
+}";
+    assert_eq!(residue("crates/netsim/src/x.rs", src), [("D010", 7)]);
+}
+
+#[test]
+fn residue_d010_flags_every_growth_call() {
+    let queueing = "crates/queueing/src/x.rs";
+    for call in [
+        "push(1)",
+        "push_back(1)",
+        "push_front(1)",
+        "insert(k, 1)",
+        "extend([1])",
+    ] {
+        let src = format!("fn handle(&mut self) {{\n    self.v.{call};\n}}");
+        assert_eq!(residue(queueing, &src), [("D010", 2)], "{call}");
+    }
+    // Reads and in-place updates are not growth.
+    let src = "fn handle(&mut self) {\n    self.v[0] += self.v.len();\n    self.m.get_mut(&k);\n}";
+    assert!(residue(queueing, src).is_empty());
+}
+
+#[test]
+fn residue_char_literals_and_lifetimes_keep_brace_depth() {
+    let src = "fn handle<'a>(&'a mut self, ev: &'a Ev) {
+    let open = ['{', '\\u{7b}', '\\''];
+    self.v.push(open);
+}
+fn after(&mut self) {
+    self.v.push(1);
+}";
+    assert_eq!(residue("crates/core/src/x.rs", src), [("D010", 3)]);
+}
+
+#[test]
+fn residue_d007_flags_each_registration_kind() {
+    let core = "crates/core/src/x.rs";
+    for (register, mutate) in [
+        ("counter", "inc"),
+        ("counter", "add"),
+        ("gauge", "set_gauge"),
+        ("histogram", "observe"),
+        ("time_average", "record_sample"),
+    ] {
+        let src = format!("m.{mutate}(m.{register}(\"rx.hot\"), 1);");
+        assert_eq!(residue(core, &src), [("D007", 1)], "{src}");
+        // Registered once on its own line, then used.
+        let src = format!("let id = m.{register}(\"rx.hot\");\nm.{mutate}(id, 1);");
+        assert!(residue(core, &src).is_empty(), "{src}");
+    }
+}
+
+#[test]
+fn residue_d008_flags_any_public_mutable_return() {
+    let rx = "crates/sstp/src/receiver.rs";
+    for sig in [
+        "    pub(crate) fn x(&mut self) -> &mut Slot {",
+        "    pub fn x(&mut self) -> Option<&mut Slot> {",
+    ] {
+        assert_eq!(residue(rx, &format!("{sig} }}")), [("D008", 1)], "{sig}");
+    }
+    for sig in [
+        "    fn x(&mut self) -> &mut Slot {",
+        "    pub fn f<F: FnMut() -> u32>(&mut self, f: F) -> u32 {",
+        "    pub fn tick(&mut self) -> u32 { let n = &mut self.n; *n",
+    ] {
+        assert!(residue(rx, &format!("{sig} }}")).is_empty(), "{sig}");
+    }
+}
+
+#[test]
+fn residue_scope_is_the_simulation_crates() {
+    let src = "m.add(m.counter(\"tx.hot\"), 1);";
+    for c in SIM_SRC {
+        let path = format!("crates/{c}/src/a/b.rs");
+        assert_eq!(residue(&path, src), [("D007", 1)], "{path}");
+    }
+    for path in [
+        "crates/bench/src/x.rs",
+        "crates/report/src/main.rs",
+        "crates/verify/src/main.rs",
+        "crates/sstp/tests/x.rs",
+        "src/lib.rs",
+        "tests/x.rs",
+    ] {
+        assert!(residue(path, src).is_empty(), "{path}");
+    }
+}
+
+#[test]
+fn residue_annotations_sit_only_where_the_residue_reads() {
+    // Outside the simulation crates' non-test code nothing reads them.
+    let stray: Vec<String> = sources(vec!["crates".into(), "src".into(), "tests".into()])
+        .into_iter()
+        .filter(|f| !f.starts_with("tests/lint_"))
+        .filter(|f| {
+            let text = read(&root().join(f));
+            let tests = text.find("#[cfg(test)]").unwrap_or(text.len());
+            let unread = if is_sim_source(f) {
+                &text[tests..]
+            } else {
+                &text[..]
+            };
+            unread.contains("lint: allow(")
+        })
+        .collect();
+    assert!(stray.is_empty(), "dead `// lint: allow` in {stray:?}");
+}
+
+#[test]
+fn no_target_carries_an_allow_attribute() {
+    // The clippy gate denies `#[allow]` on library and binary targets
+    // only; this covers the test targets and `#[cfg(test)]` modules.
+    let mut hits = vec![];
+    for f in sources(vec!["crates".into(), "src".into(), "tests".into()]) {
+        if f.starts_with("tests/lint_fixtures/") {
+            continue;
+        }
+        for (n, line) in (1..).zip(read(&root().join(&f)).lines()) {
+            let line = line.trim_start();
+            if ["#[allow(", "#![allow(", "#[cfg_attr("]
+                .iter()
+                .any(|p| line.starts_with(p) && line.contains("allow("))
+            {
+                hits.push(format!("{f}:{n}"));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "use #[expect(lint, reason)]: {hits:?}");
+}
+
+#[test]
+fn ban_suppressions_stay_in_their_files() {
+    // The runtime's clock and socket, the profiler's wall side and the
+    // CLIs; a new exception to a `clippy.toml` ban is added here.
+    let expected = [
+        "crates/bench/src/bin/experiments.rs",
+        "crates/netsim/src/profile.rs",
+        "crates/report/src/main.rs",
+        "crates/sstp/src/runtime/mod.rs",
+        "crates/sstp/src/runtime/mux.rs",
+        "crates/verify/src/main.rs",
+    ];
+    let files: Vec<String> = sources(vec!["crates".into(), "src".into()])
+        .into_iter()
+        .filter(|f| read(&root().join(f)).contains("clippy::disallowed_"))
+        .collect();
+    assert_eq!(files, expected);
+}
+
+#[test]
+fn clippy_toml_reasons_name_their_rule() {
+    let toml = read(&root().join("clippy.toml"));
+    let mut ids: Vec<Option<&str>> = (toml.lines())
+        .filter(|l| l.trim_start().starts_with("{ path"))
+        .map(|l| l.split_once("reason = \"").and_then(|(_, r)| r.get(..5)))
+        .collect();
+    ids.sort();
+    ids.dedup();
+    let want = ["D001:", "D002:", "D005:", "D006:", "D011:"];
+    assert_eq!(ids, want.map(Some));
+}
+
+#[test]
+fn design_table_matches_the_enforcers() {
+    let design = read(&root().join("DESIGN.md"));
+    let toml = read(&root().join("clippy.toml"));
+    let rows: Vec<(&str, &str)> = (design.lines())
+        .filter(|l| l.starts_with("| **D"))
+        .filter_map(|l| {
+            let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+            Some((cells.get(1)?.trim_matches('*'), *cells.get(3)?))
+        })
+        .collect();
+    let ids: Vec<String> = (1..=11).map(|n| format!("D{n:03}")).collect();
+    assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), ids);
+    for (id, by) in rows {
+        let banned = toml.contains(&format!("\"{id}:"));
+        assert_eq!(by.contains("clippy.toml"), banned, "{id}: {by}");
+        let residue = RESIDUE_RULES.contains(&id);
+        assert_eq!(by.starts_with("residue scan"), residue, "{id}: {by}");
+    }
 }
