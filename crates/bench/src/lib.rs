@@ -67,7 +67,7 @@ pub fn set_trace(on: bool) {
 
 /// Whether `--trace` is in effect. Experiments consult this to decide
 /// whether their representative sweep point should record a tracer.
-pub fn trace_enabled() -> bool {
+pub(crate) fn trace_enabled() -> bool {
     TRACE.load(std::sync::atomic::Ordering::Relaxed)
 }
 
@@ -126,7 +126,7 @@ pub struct ExperimentOutput {
     /// Metrics artifacts, written under `results/metrics/`.
     pub metrics: Vec<MetricsArtifact>,
     /// Causal-trace artifacts, written under `results/traces/`
-    /// (populated only when [`trace_enabled`]).
+    /// (populated only when `trace_enabled`).
     pub traces: Vec<TraceArtifact>,
     /// Total simulator events dispatched across every run of the
     /// experiment (sum of the runs' `engine.events_dispatched`
@@ -149,7 +149,7 @@ impl From<Vec<Table>> for ExperimentOutput {
 /// The `engine.events_dispatched` counter of one run's snapshot, or 0
 /// when the run didn't export it. Sweeps sum this into
 /// [`ExperimentOutput::events`].
-pub fn dispatched_events(m: &ss_netsim::MetricsSnapshot) -> u64 {
+pub(crate) fn dispatched_events(m: &ss_netsim::MetricsSnapshot) -> u64 {
     match m.get("engine.events_dispatched") {
         Some(ss_netsim::MetricValue::Counter(v)) => *v,
         _ => 0,

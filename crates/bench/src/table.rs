@@ -28,7 +28,7 @@ impl Table {
     }
 
     /// Appends a row. Panics if the width differs from the header.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.columns.len(),
@@ -105,17 +105,17 @@ impl Table {
 }
 
 /// Formats a probability/fraction with 4 decimals.
-pub fn fmt_frac(x: f64) -> String {
+pub(crate) fn fmt_frac(x: f64) -> String {
     format!("{x:.4}")
 }
 
 /// Formats a percentage with 1 decimal.
-pub fn fmt_pct(x: f64) -> String {
+pub(crate) fn fmt_pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
 /// Formats seconds with 3 decimals.
-pub fn fmt_secs(x: f64) -> String {
+pub(crate) fn fmt_secs(x: f64) -> String {
     if x.is_infinite() {
         "inf".to_string()
     } else {

@@ -7,7 +7,7 @@
 //! `pkt/s = kbps / 8`.
 
 /// ADU payload size used throughout the experiments, in bytes.
-pub const ADU_BYTES: u32 = 1000;
+pub(crate) const ADU_BYTES: u32 = 1000;
 
 /// Converts a paper bandwidth in kbps to announcements per second.
 pub fn pkts(kbps: f64) -> f64 {

@@ -38,7 +38,7 @@ impl Value {
     }
 
     /// The next version of this value (same size).
-    pub fn bumped(self) -> Self {
+    pub(crate) fn bumped(self) -> Self {
         Value {
             version: self.version + 1,
             payload_len: self.payload_len,
@@ -64,9 +64,6 @@ pub struct Record {
 pub struct PublisherTable {
     records: BTreeMap<Key, Record>,
     next_key: u64,
-    inserts: u64,
-    updates: u64,
-    deletes: u64,
 }
 
 impl PublisherTable {
@@ -85,7 +82,6 @@ impl PublisherTable {
             born: now,
         };
         self.records.insert(key, rec);
-        self.inserts += 1;
         rec
     }
 
@@ -104,7 +100,6 @@ impl PublisherTable {
             }
         }
         self.next_key = self.next_key.max(key.0 + 1);
-        self.inserts += 1;
         rec
     }
 
@@ -116,17 +111,12 @@ impl PublisherTable {
             .get_mut(&key)
             .unwrap_or_else(|| panic!("update of dead key {key:?}"));
         rec.value = rec.value.bumped();
-        self.updates += 1;
         *rec
     }
 
     /// Deletes a record (its lifetime ended); returns it if it was live.
     pub fn delete(&mut self, key: Key) -> Option<Record> {
-        let r = self.records.remove(&key);
-        if r.is_some() {
-            self.deletes += 1;
-        }
-        r
+        self.records.remove(&key)
     }
 
     /// The current value of `key`, if live.
@@ -142,11 +132,6 @@ impl PublisherTable {
     /// Iterates the live data set in ascending key order.
     pub fn live(&self) -> impl Iterator<Item = &Record> {
         self.records.values()
-    }
-
-    /// Lifetime counters: `(inserts, updates, deletes)`.
-    pub fn op_counts(&self) -> (u64, u64, u64) {
-        (self.inserts, self.updates, self.deletes)
     }
 }
 
@@ -431,7 +416,6 @@ mod tests {
         assert!(t.delete(r1.key).is_some());
         assert!(t.delete(r1.key).is_none());
         assert_eq!(t.live_count(), 1);
-        assert_eq!(t.op_counts(), (2, 1, 1));
     }
 
     #[test]

@@ -793,6 +793,7 @@ mod tests {
         transmissions: u64,
         nacks_generated: u64,
         fault_drops: u64,
+        observed_loss_rate: f64,
         stats: JobStats,
         metrics: MetricsSnapshot,
     }
@@ -808,6 +809,7 @@ mod tests {
                         transmissions: r.transmissions,
                         nacks_generated: 0,
                         fault_drops: r.fault_drops,
+                        observed_loss_rate: r.observed_loss_rate,
                         stats: r.stats,
                         metrics: r.metrics,
                     }
@@ -819,6 +821,7 @@ mod tests {
                         transmissions: r.transmissions(),
                         nacks_generated: 0,
                         fault_drops: r.fault_drops,
+                        observed_loss_rate: r.observed_loss_rate,
                         stats: r.stats,
                         metrics: r.metrics,
                     }
@@ -830,6 +833,7 @@ mod tests {
                         transmissions: r.transmissions(),
                         nacks_generated: r.nacks_generated,
                         fault_drops: r.fault_drops,
+                        observed_loss_rate: r.observed_loss_rate,
                         stats: r.stats,
                         metrics: r.metrics,
                     }
@@ -951,6 +955,95 @@ mod tests {
                 a.stats.consistency.unnormalized.to_bits(),
                 b.stats.consistency.unnormalized.to_bits()
             );
+        }
+    }
+
+    /// A data server never runs faster than its rate and never idles
+    /// with work waiting: on a lossless bulk table of immortal records
+    /// with deterministic service, a server that is backlogged for the
+    /// whole run completes exactly one announcement per `1/μ`. Completions
+    /// stamped at the end time still count.
+    #[test]
+    fn backlogged_server_serializes_at_its_rate() {
+        // One 20/s server cycling 30 records for 100 s.
+        let ol = open_loop::run(&open_loop::tests::bulk_lossless(44));
+        assert_eq!(ol.transmissions, 2_000);
+        // The 10/s hot server drains the 20 new records in 2 s, then
+        // idles. The 10/s cold server takes its first record at 0.1 s and
+        // stays backlogged until the 200 s end.
+        let tq = two_queue::run(&two_queue::tests::bulk_lossless(44));
+        assert_eq!(tq.hot_transmissions, 20);
+        assert_eq!(tq.cold_transmissions, 1_999);
+    }
+
+    /// A bandwidth-degradation episode stretches every data service that
+    /// starts inside it by `1/factor`, and only those.
+    #[test]
+    fn bandwidth_degradation_stretches_service() {
+        use ss_netsim::FaultKind;
+        let faults = FaultSpec::none().with(secs(20), secs(60), FaultKind::Bandwidth(0.5));
+        let r = open_loop::run_faulted(&open_loop::tests::bulk_lossless(45), &faults);
+        // 20 s at 20/s, 40 s at 10/s, 40 s at 20/s.
+        assert_eq!(r.transmissions, 400 + 400 + 800);
+        assert_eq!(
+            r.fault_drops, 0,
+            "degradation slows the link, drops nothing"
+        );
+    }
+
+    /// A data server that is idle when a record arrives starts serving it
+    /// at once: at λ/μ = 1/400 almost every record finds the server idle,
+    /// so the fastest delivery is exactly one service time and the mean
+    /// barely exceeds it (M/D/1 adds ρ/(2μ(1−ρ)) ≈ 63 µs of queueing).
+    #[test]
+    fn idle_server_serves_an_arrival_in_one_service_time() {
+        let cfg = OpenLoopConfig {
+            arrivals: ArrivalProcess::Poisson { rate: 0.05 },
+            death: DeathProcess::PerTransmission { p: 1.0 },
+            mu: 20.0,
+            loss: LossSpec::None,
+            service: ServiceModel::Deterministic,
+            seed: 46,
+            duration: SimDuration::from_secs(4_000),
+            series_spacing: None,
+            event_capacity: 0,
+            trace_capacity: 0,
+        };
+        let r = open_loop::run(&cfg);
+        let lat = &r.stats.latency;
+        assert!(lat.count() > 150, "{} deliveries", lat.count());
+        assert_eq!(lat.count(), r.transmissions, "one announcement each");
+        assert_eq!(lat.min(), SimDuration::from_millis(50));
+        assert!(
+            lat.mean() < SimDuration::from_micros(50_500),
+            "mean latency {:?}",
+            lat.mean()
+        );
+    }
+
+    /// Every variant's data channel loses announcements at the configured
+    /// long-run rate, for independent and for bursty loss.
+    #[test]
+    fn channel_loss_tracks_model() {
+        let bursty = LossSpec::Bursty {
+            mean: 0.3,
+            burst_len: 4.0,
+        };
+        let mut runs = Vec::new();
+        for (v, p) in steady([51, 52, 53]).into_iter().zip([0.2, 0.3, 0.4]) {
+            runs.push((v.run(None).observed_loss_rate, p));
+        }
+        let mut ol = open_loop::tests::validation_cfg(54);
+        ol.loss = bursty;
+        runs.push((open_loop::run(&ol).observed_loss_rate, 0.3));
+        let mut tq = two_queue::tests::fig5_cfg(0.4, 0.3, 55);
+        tq.loss = bursty;
+        runs.push((two_queue::run(&tq).observed_loss_rate, 0.3));
+        let mut fb = feedback::tests::cfg(3.0, 1.5, 1.125, 0.3, 56);
+        fb.loss = bursty;
+        runs.push((feedback::run(&fb).observed_loss_rate, 0.3));
+        for (i, (seen, p)) in runs.into_iter().enumerate() {
+            assert!((seen - p).abs() < 0.01, "run {i}: loss {seen} vs {p}");
         }
     }
 

@@ -39,7 +39,7 @@ pub enum Transition {
 
 /// The full consequence of one data-service completion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServiceOutcome {
+pub(crate) struct ServiceOutcome {
     /// The Table 1 transition this service performed.
     pub transition: Transition,
     /// Whether the receiver installs the value now (the announcement
@@ -56,7 +56,7 @@ pub struct ServiceOutcome {
 /// composed channel verdict (baseline loss or an active fault), and
 /// `dies` is the per-transmission death draw (or a deferred lifetime
 /// death).
-pub fn classify_service(was_consistent: bool, lost: bool, dies: bool) -> ServiceOutcome {
+pub(crate) fn classify_service(was_consistent: bool, lost: bool, dies: bool) -> ServiceOutcome {
     let delivers = !lost && !was_consistent;
     let transition = match (was_consistent, lost, dies) {
         (true, _, true) => Transition::CDeath,
@@ -88,7 +88,7 @@ impl TransitionCounts {
 /// Where a live record currently sits at the sender — Figure 7's three
 /// live states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Loc {
+pub(crate) enum Loc {
     /// Waiting in the hot (foreground) queue.
     Hot,
     /// Waiting in the cold (background) queue.
@@ -104,7 +104,7 @@ pub enum Loc {
 /// missing at the receiver. Any other combination makes the NACK moot
 /// (the record died, is already hot or on the wire, or was delivered in
 /// the meantime).
-pub fn should_promote(loc: Option<Loc>, live: bool, consistent: bool) -> bool {
+pub(crate) fn should_promote(loc: Option<Loc>, live: bool, consistent: bool) -> bool {
     loc == Some(Loc::Cold) && live && !consistent
 }
 
@@ -113,7 +113,7 @@ pub fn should_promote(loc: Option<Loc>, live: bool, consistent: bool) -> bool {
 /// receiver being partitioned or down) of a record it does not yet hold,
 /// when a feedback channel exists and no NACK for the record is already
 /// pending or in flight.
-pub fn should_nack(
+pub(crate) fn should_nack(
     chan_lost: bool,
     fault_lost: bool,
     was_consistent: bool,

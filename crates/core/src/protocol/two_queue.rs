@@ -30,7 +30,7 @@ use ss_sched::{Drr, Lottery, Scheduler, Sfq, StrictPriority, Stride};
 
 /// Which transmission queue served a packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Src {
+pub(crate) enum Src {
     /// The foreground (new data) queue.
     Hot,
     /// The background (retransmission) queue.

@@ -89,7 +89,7 @@ pub enum DeathProcess {
 
 impl DeathProcess {
     /// Draws whether a record dies at a service completion.
-    pub fn dies_after_service(&self, rng: &mut SimRng) -> bool {
+    pub(crate) fn dies_after_service(&self, rng: &mut SimRng) -> bool {
         match *self {
             DeathProcess::PerTransmission { p } => rng.chance(p),
             _ => false,
@@ -102,15 +102,6 @@ impl DeathProcess {
         match *self {
             DeathProcess::Lifetime { mean_secs } => Some(rng.exp_duration(1.0 / mean_secs)),
             _ => None,
-        }
-    }
-
-    /// The per-transmission death probability (0 for other processes) —
-    /// what the closed forms take as `p_d`.
-    pub fn per_transmission_p(&self) -> f64 {
-        match *self {
-            DeathProcess::PerTransmission { p } => p,
-            _ => 0.0,
         }
     }
 }
@@ -129,7 +120,7 @@ pub enum ServiceModel {
 
 impl ServiceModel {
     /// Draws one service time for a server of `rate` packets/s.
-    pub fn service_time(&self, rate: f64, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn service_time(&self, rate: f64, rng: &mut SimRng) -> SimDuration {
         assert!(rate > 0.0, "service on a zero-rate server");
         match self {
             ServiceModel::Exponential => rng.exp_duration(rate),
@@ -181,7 +172,6 @@ mod tests {
         let f = dead as f64 / n as f64;
         assert!((f - 0.2).abs() < 0.01, "freq {f}");
         assert_eq!(d.lifetime(&mut rng), None);
-        assert_eq!(d.per_transmission_p(), 0.2);
     }
 
     #[test]
@@ -203,7 +193,6 @@ mod tests {
         let d = DeathProcess::Immortal;
         assert!(!(0..1000).any(|_| d.dies_after_service(&mut rng)));
         assert_eq!(d.lifetime(&mut rng), None);
-        assert_eq!(d.per_transmission_p(), 0.0);
     }
 
     #[test]

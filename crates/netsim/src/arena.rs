@@ -36,21 +36,9 @@ pub struct Handle {
 }
 
 impl Handle {
-    /// A handle no arena will ever issue; handy as an "absent" sentinel
-    /// in payloads that cannot afford an `Option`.
-    pub const DANGLING: Handle = Handle {
-        slot: u32::MAX,
-        gen: u32::MAX,
-    };
-
     /// The raw slot index (diagnostics only — not stable across reuse).
     pub fn slot(self) -> u32 {
         self.slot
-    }
-
-    /// The generation the slot had when this handle was issued.
-    pub fn generation(self) -> u32 {
-        self.gen
     }
 }
 
@@ -242,7 +230,7 @@ mod tests {
         a.remove(h1);
         let h2 = a.insert("new");
         assert_eq!(h2.slot(), h1.slot(), "LIFO recycling reuses the slot");
-        assert_ne!(h2.generation(), h1.generation());
+        assert_ne!(h2, h1, "same slot, new generation");
         assert_eq!(a.get(h1), None);
         assert_eq!(a.get_mut(h1), None);
         assert_eq!(a.remove(h1), None, "stale remove must not evict the tenant");
@@ -288,13 +276,5 @@ mod tests {
         a.remove(h1);
         let seen: Vec<_> = a.iter().map(|(h, &v)| (h, v)).collect();
         assert_eq!(seen, vec![(h0, 10), (h2, 12)]);
-    }
-
-    #[test]
-    fn dangling_never_resolves() {
-        let mut a: Arena<u8> = Arena::new();
-        a.insert(1);
-        assert_eq!(a.get(Handle::DANGLING), None);
-        assert!(!a.contains(Handle::DANGLING));
     }
 }

@@ -204,13 +204,6 @@ pub fn run_until<W: World>(world: &mut W, q: &mut EventQueue<W::Event>, end: Sim
     }
 }
 
-/// Runs `world` until the queue drains completely.
-pub fn run_to_completion<W: World>(world: &mut W, q: &mut EventQueue<W::Event>) {
-    while let Some((_, ev)) = q.pop() {
-        world.handle(q, ev);
-    }
-}
-
 /// A [`World`] that carries an `ss-trace` [`Tracer`](crate::trace::Tracer),
 /// letting the run loop record one dispatch event per queue pop.
 pub trait TracedWorld: World {
@@ -354,18 +347,5 @@ mod tests {
         assert_eq!(w.fired, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(6)));
-    }
-
-    #[test]
-    fn run_to_completion_drains() {
-        let mut w = Counter {
-            fired: vec![],
-            limit: 10,
-        };
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 0);
-        run_to_completion(&mut w, &mut q);
-        assert_eq!(w.fired.len(), 10);
-        assert!(q.is_empty());
     }
 }

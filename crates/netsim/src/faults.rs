@@ -13,8 +13,8 @@
 //! * **Link faults** — [`FaultKind::Partition`] (uni- or bidirectional
 //!   outage), [`FaultKind::ExtraLoss`] (a loss-rate override episode
 //!   composing with the channel's own [`LossModel`]),
-//!   [`FaultKind::Bandwidth`] (serialization slow-down on a
-//!   [`crate::Transmitter`]), and the packet perturbations
+//!   [`FaultKind::Bandwidth`] (serialization slow-down of the sender's
+//!   server), and the packet perturbations
 //!   [`FaultKind::Duplicate`] / [`FaultKind::Corrupt`] /
 //!   [`FaultKind::Reorder`].
 //! * **Endpoint faults** — [`FaultKind::ReceiverCrash`] (a receiver is
@@ -57,12 +57,12 @@ pub enum FaultDir {
 
 impl FaultDir {
     /// True when the data (sender → receiver) direction is severed.
-    pub fn blocks_data(self) -> bool {
+    pub(crate) fn blocks_data(self) -> bool {
         matches!(self, FaultDir::Both | FaultDir::Data)
     }
 
     /// True when the feedback (receiver → sender) direction is severed.
-    pub fn blocks_feedback(self) -> bool {
+    pub(crate) fn blocks_feedback(self) -> bool {
         matches!(self, FaultDir::Both | FaultDir::Feedback)
     }
 }
@@ -389,13 +389,6 @@ impl FaultSchedule {
             .any(|e| e.active(now) && matches!(e.spec, FaultKind::ReceiverCrash(i) if i == rx))
     }
 
-    /// True when any receiver is crashed at `now`.
-    pub fn any_receiver_down(&self, now: SimTime) -> bool {
-        self.episodes
-            .iter()
-            .any(|e| e.active(now) && matches!(e.spec, FaultKind::ReceiverCrash(_)))
-    }
-
     /// True when the sender is silenced at `now`.
     pub fn sender_silent(&self, now: SimTime) -> bool {
         self.episodes
@@ -410,22 +403,6 @@ impl FaultSchedule {
             .iter()
             .filter_map(|e| match e.spec {
                 FaultKind::ReceiverCrash(i) if e.at == t => Some(i),
-                _ => None,
-            })
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// Receivers whose crash episode *ends* exactly at `t` (restart now,
-    /// from a wiped replica).
-    pub fn restarts_at(&self, t: SimTime) -> Vec<u32> {
-        let mut v: Vec<u32> = self
-            .episodes
-            .iter()
-            .filter_map(|e| match e.spec {
-                FaultKind::ReceiverCrash(i) if e.until == t => Some(i),
                 _ => None,
             })
             .collect();
@@ -449,12 +426,6 @@ impl FaultSchedule {
         b.sort();
         b.dedup();
         b
-    }
-
-    /// The first boundary strictly after `now`, if any — where a paused
-    /// sender should re-check its silence.
-    pub fn next_boundary_after(&self, now: SimTime) -> Option<SimTime> {
-        self.boundaries().into_iter().find(|&t| t > now)
     }
 
     /// Emits one trace span per episode (key = episode index) under
@@ -607,8 +578,6 @@ mod tests {
         assert!(!s.feedback_blocked(secs(25)));
         assert_eq!(s.healed_at(), secs(25));
         assert_eq!(s.boundaries(), vec![secs(10), secs(15), secs(20), secs(25)]);
-        assert_eq!(s.next_boundary_after(secs(10)), Some(secs(15)));
-        assert_eq!(s.next_boundary_after(secs(25)), None);
     }
 
     #[test]
@@ -649,13 +618,10 @@ mod tests {
         assert!(!s.receiver_down(secs(9), 1));
         assert!(s.receiver_down(secs(10), 1));
         assert!(!s.receiver_down(secs(10), 0));
-        assert!(s.any_receiver_down(secs(15)));
-        assert!(!s.any_receiver_down(secs(25)));
         assert!(s.sender_silent(secs(30)));
         assert!(!s.sender_silent(secs(40)));
         assert_eq!(s.crashes_at(secs(10)), vec![1]);
         assert!(s.crashes_at(secs(20)).is_empty());
-        assert_eq!(s.restarts_at(secs(20)), vec![1]);
     }
 
     #[test]

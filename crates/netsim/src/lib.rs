@@ -15,10 +15,8 @@
 //!   loop.
 //! * [`rng`] — seeded, name-derivable random streams ([`SimRng`]) so
 //!   protocol variants can be compared on identical workloads.
-//! * [`loss`] — Bernoulli, Gilbert–Elliott, and scripted loss processes,
-//!   plus the plain-data [`LossSpec`] they are built from.
-//! * [`link`] — FIFO transmitters and lossy channels ([`Transmitter`],
-//!   [`Channel`]).
+//! * [`loss`] — Bernoulli and Gilbert–Elliott loss processes, plus the
+//!   plain-data [`LossSpec`] they are built from.
 //! * [`faults`] — `ss-chaos`: deterministic fault-injection schedules
 //!   (partitions, loss overrides, bandwidth degradation, endpoint
 //!   crashes) on the virtual clock ([`FaultSpec`], [`FaultSchedule`]).
@@ -50,15 +48,21 @@
 //! ```
 //! use ss_netsim::prelude::*;
 //!
-//! // A 128 kbps channel losing 10% of packets, 50 ms propagation delay.
-//! let mut ch = Channel::new(
-//!     Bandwidth::from_kbps(128),
-//!     SimDuration::from_millis(50),
-//!     Box::new(Bernoulli::new(0.1)),
-//!     SimRng::new(42),
-//! );
-//! let d = ch.send(SimTime::ZERO, 1000);
-//! assert_eq!(d.departs, SimTime::from_micros(62_500));
+//! // A run's loss draws come from their own stream, derived from the
+//! // run's root seed by label, so other randomness never shifts them.
+//! let root = SimRng::new(42);
+//! let (mut rng_a, mut rng_b) = (root.derive("loss"), root.derive("loss"));
+//! let spec = LossSpec::Bernoulli(0.1);
+//! // A dedicated stream may batch its Bernoulli draws: the fates are the
+//! // unbatched model's, draw for draw.
+//! let (mut batched, mut plain) = (spec.build_batched(), spec.build());
+//! let fates: Vec<bool> = (0..10_000).map(|_| batched.is_lost(&mut rng_a)).collect();
+//! assert!(fates.iter().all(|&lost| lost == plain.is_lost(&mut rng_b)));
+//! let lost = fates.iter().filter(|&&lost| lost).count();
+//! assert!((900..1_100).contains(&lost));
+//! // One 1000-byte packet at 128 kbps serializes in 62.5 ms.
+//! let t = Bandwidth::from_kbps(128).transmit_time(1000);
+//! assert_eq!(t, SimDuration::from_micros(62_500));
 //! ```
 
 #![deny(missing_docs)]
@@ -66,7 +70,6 @@
 pub mod arena;
 pub mod engine;
 pub mod faults;
-pub mod link;
 pub mod loss;
 pub mod metrics;
 pub mod par;
@@ -77,15 +80,11 @@ pub mod trace;
 pub mod units;
 
 pub use arena::{Arena, Handle};
-pub use engine::{
-    run_to_completion, run_until, run_until_profiled, run_until_traced, EventQueue, TracedWorld,
-    World,
-};
+pub use engine::{run_until, run_until_profiled, run_until_traced, EventQueue, TracedWorld, World};
 pub use faults::{
     EpisodeSpec, FaultDir, FaultKind, FaultSchedule, FaultSpec, Perturbation, RealPathFaults,
 };
-pub use link::{Channel, Delivery, Transmitter};
-pub use loss::{BatchedBernoulli, Bernoulli, GilbertElliott, LossModel, LossSpec, Pattern};
+pub use loss::{BatchedBernoulli, Bernoulli, GilbertElliott, LossModel, LossSpec};
 pub use metrics::{
     AverageId, CounterId, DurationHistogram, EventKind, EventLog, EventRecord, GaugeId,
     HistogramId, HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot, QuantileSketch,
@@ -100,16 +99,12 @@ pub use units::Bandwidth;
 /// Convenient glob import for simulations.
 pub mod prelude {
     pub use crate::engine::{
-        run_to_completion, run_until, run_until_profiled, run_until_traced, EventQueue,
-        TracedWorld, World,
+        run_until, run_until_profiled, run_until_traced, EventQueue, TracedWorld, World,
     };
     pub use crate::faults::{
         EpisodeSpec, FaultDir, FaultKind, FaultSchedule, FaultSpec, Perturbation,
     };
-    pub use crate::link::{Channel, Delivery, Transmitter};
-    pub use crate::loss::{
-        BatchedBernoulli, Bernoulli, GilbertElliott, LossModel, LossSpec, Pattern,
-    };
+    pub use crate::loss::{BatchedBernoulli, Bernoulli, GilbertElliott, LossModel, LossSpec};
     pub use crate::metrics::{
         AverageId, CounterId, DurationHistogram, EventKind, EventLog, EventRecord, GaugeId,
         HistogramId, HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot,

@@ -5,8 +5,7 @@
 //! packet loss process". We therefore provide both an i.i.d. model
 //! ([`Bernoulli`]) and a bursty two-state Markov model ([`GilbertElliott`])
 //! with a matching mean, so that claim can be tested rather than assumed
-//! (see the `loss-pattern` experiment). [`Pattern`] gives scripted losses
-//! for unit tests.
+//! (see the `loss-pattern` experiment).
 
 use crate::rng::SimRng;
 
@@ -48,8 +47,8 @@ impl LossSpec {
     /// everything else builds exactly what [`LossSpec::build`] would.
     ///
     /// **Only for models driven by a dedicated loss stream** (the
-    /// protocol engines' `rng_loss`, a [`crate::link::Channel`]'s own
-    /// rng). The batched model prefetches 64 outcomes ahead on its
+    /// protocol engines' `rng_loss`, the SSTP session's per-receiver
+    /// channel streams). The batched model prefetches 64 outcomes ahead on its
     /// stream; if anything else draws from the same stream in between,
     /// those draws land at different positions than unbatched and the
     /// run diverges. The `ss-chaos` [`crate::faults::FaultSchedule`]
@@ -118,9 +117,9 @@ impl LossModel for Bernoulli {
 ///
 /// The outcome sequence is **bit-for-bit identical** to [`Bernoulli`]'s
 /// on the same stream: outcome `i` is decided by draw `i` either way
-/// (see [`SimRng::bernoulli_block`]), and the integer threshold
+/// (see `SimRng::bernoulli_block`), and the integer threshold
 /// reproduces `next_f64() < p` exactly (see
-/// [`SimRng::bernoulli_threshold`]). Like [`SimRng::chance`], the
+/// `SimRng::bernoulli_threshold`). Like [`SimRng::chance`], the
 /// degenerate rates `p = 0` and `p = 1` consume no draws at all.
 ///
 /// Requires a stream dedicated to this model's draws — see
@@ -266,39 +265,6 @@ impl LossModel for GilbertElliott {
     }
 }
 
-/// A scripted loss sequence that repeats cyclically — for deterministic
-/// tests ("drop exactly the 2nd and 5th packets").
-#[derive(Clone, Debug)]
-pub struct Pattern {
-    drops: Vec<bool>,
-    idx: usize,
-}
-
-impl Pattern {
-    /// A cyclic pattern; `true` entries are dropped. Panics on empty input.
-    pub fn new(drops: Vec<bool>) -> Self {
-        assert!(!drops.is_empty(), "empty loss pattern");
-        Pattern { drops, idx: 0 }
-    }
-
-    /// A pattern that never drops.
-    pub fn lossless() -> Self {
-        Pattern::new(vec![false])
-    }
-}
-
-impl LossModel for Pattern {
-    fn is_lost(&mut self, _rng: &mut SimRng) -> bool {
-        let lost = self.drops[self.idx];
-        self.idx = (self.idx + 1) % self.drops.len();
-        lost
-    }
-
-    fn mean_loss_rate(&self) -> f64 {
-        self.drops.iter().filter(|&&d| d).count() as f64 / self.drops.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,15 +407,5 @@ mod tests {
                 assert_eq!(a.is_lost(&mut rng_a), b.is_lost(&mut rng_b));
             }
         }
-    }
-
-    #[test]
-    fn pattern_cycles() {
-        let mut rng = SimRng::new(0);
-        let mut p = Pattern::new(vec![false, true, false]);
-        assert!((p.mean_loss_rate() - 1.0 / 3.0).abs() < 1e-12);
-        let fates: Vec<bool> = (0..6).map(|_| p.is_lost(&mut rng)).collect();
-        assert_eq!(fates, vec![false, true, false, false, true, false]);
-        assert!(!Pattern::lossless().is_lost(&mut rng));
     }
 }

@@ -450,7 +450,7 @@ impl MetricsSnapshot {
     /// Like [`MetricsSnapshot::to_jsonl`], but prefixes every line with
     /// a `"run"` label so several runs can share one file (e.g. one
     /// sweep point per label in a figure's artifact).
-    pub fn to_jsonl_labeled(&self, run: &str) -> String {
+    pub(crate) fn to_jsonl_labeled(&self, run: &str) -> String {
         let mut out = String::with_capacity(96 * (self.values.len() + 1));
         self.write_jsonl_labeled(run, &mut out);
         out
@@ -464,7 +464,7 @@ impl MetricsSnapshot {
     /// accumulator made the assembly O(runs × metrics) in allocations.
     /// Writing into the shared buffer keeps it to one amortized
     /// allocation total. Bytes produced are identical to
-    /// [`MetricsSnapshot::to_jsonl_labeled`].
+    /// `MetricsSnapshot::to_jsonl_labeled`.
     pub fn write_jsonl_labeled(&self, run: &str, out: &mut String) {
         for (name, value) in &self.values {
             out.push('{');

@@ -47,7 +47,7 @@ impl WindowedTimeAverage {
     /// Starts integrating at `start` with initial value `v0`, closing a
     /// window of mean values every `window` of sim time. A zero width
     /// disables window tracking.
-    pub fn windowed(start: SimTime, v0: f64, window: SimDuration) -> Self {
+    pub(crate) fn windowed(start: SimTime, v0: f64, window: SimDuration) -> Self {
         let mut w = Self::new(start, v0);
         if window > SimDuration::ZERO {
             w.window = Some(window);
@@ -120,7 +120,7 @@ impl WindowedTimeAverage {
     }
 
     /// Completed windows so far as `(window end, window mean)` pairs.
-    /// Call [`WindowedTimeAverage::finish_windows`] first to flush the
+    /// Call `WindowedTimeAverage::finish_windows` first to flush the
     /// trailing partial window at the end of a run.
     pub fn windows(&self) -> &[(SimTime, f64)] {
         &self.windows
@@ -133,7 +133,7 @@ impl WindowedTimeAverage {
     /// a window boundary, or the whole run is zero-duration) is *not*
     /// emitted: there is no span for it to summarize, and a `0/0` mean
     /// would poison the export with `NaN`.
-    pub fn finish_windows(&mut self, end: SimTime) {
+    pub(crate) fn finish_windows(&mut self, end: SimTime) {
         self.advance(end);
         if self.window.is_some() {
             let span = end.since(self.win_start).as_secs_f64();

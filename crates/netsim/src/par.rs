@@ -56,18 +56,7 @@ pub fn threads() -> usize {
 /// Runs `f` over every sweep point on the configured worker pool (see
 /// [`threads`]) and returns the results **in index order** — element `i`
 /// of the returned vector is `f(i, &points[i])`, whatever thread computed
-/// it. See [`sweep_with_threads`] for the contract.
-pub fn sweep<P, T, F>(points: &[P], f: F) -> Vec<T>
-where
-    P: Sync,
-    T: Send,
-    F: Fn(usize, &P) -> T + Sync,
-{
-    sweep_with_threads(threads(), points, f)
-}
-
-/// Runs `f(i, &points[i])` for every `i` across `threads` workers and
-/// reassembles the results densely in index order.
+/// it.
 ///
 /// Determinism contract: `f` must derive everything it computes from its
 /// arguments alone (each sweep point owns its seed), which every
@@ -78,7 +67,18 @@ where
 ///
 /// A panic inside `f` propagates to the caller once the pool has joined
 /// (the panicking run's output is lost; no partial vector is returned).
-pub fn sweep_with_threads<P, T, F>(threads: usize, points: &[P], f: F) -> Vec<T>
+pub fn sweep<P, T, F>(points: &[P], f: F) -> Vec<T>
+where
+    P: Sync,
+    T: Send,
+    F: Fn(usize, &P) -> T + Sync,
+{
+    sweep_with_threads(threads(), points, f)
+}
+
+/// [`sweep`] on exactly `threads` workers, reassembling the results
+/// densely in index order.
+pub(crate) fn sweep_with_threads<P, T, F>(threads: usize, points: &[P], f: F) -> Vec<T>
 where
     P: Sync,
     T: Send,

@@ -237,7 +237,7 @@ impl PhaseEntry {
     }
 
     /// Whether this phase is one engine event-dispatch root.
-    pub fn is_dispatch_root(&self) -> bool {
+    pub(crate) fn is_dispatch_root(&self) -> bool {
         self.path.starts_with(DISPATCH_PREFIX) && !self.path.contains('/')
     }
 }
@@ -276,7 +276,7 @@ impl ProfileReport {
 
     /// Total wall nanoseconds across root phases (the run's profiled
     /// wall time; nondeterministic, for the wall artifact only).
-    pub fn root_wall_ns(&self) -> u64 {
+    pub(crate) fn root_wall_ns(&self) -> u64 {
         self.phases
             .iter()
             .filter(|p| !p.path.contains('/'))

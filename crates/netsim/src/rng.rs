@@ -127,17 +127,6 @@ impl SimRng {
         SimDuration::from_micros(((s * 1e6).round() as u64).max(1))
     }
 
-    /// A geometric variate: number of failures before the first success of
-    /// a `p`-coin, i.e. `P[X = k] = (1-p)^k p`. Panics unless `0 < p <= 1`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0, "invalid geometric p {p}");
-        if p >= 1.0 {
-            return 0;
-        }
-        let u: f64 = 1.0 - self.inner.next_f64();
-        (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
     /// Picks a uniformly random element of `items`. Panics on empty input.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick from empty slice");
@@ -164,7 +153,7 @@ impl SimRng {
     /// one: `k < p·2^53 ⟺ k < t` whether or not the bound is an
     /// integer. This is what lets [`SimRng::bernoulli_block`] batch loss
     /// draws without perturbing a single outcome.
-    pub fn bernoulli_threshold(p: f64) -> u64 {
+    pub(crate) fn bernoulli_threshold(p: f64) -> u64 {
         debug_assert!(p > 0.0 && p < 1.0, "threshold wants open (0,1), got {p}");
         (p * (1u64 << 53) as f64).ceil() as u64
     }
@@ -180,7 +169,7 @@ impl SimRng {
     /// (DESIGN.md §14). Only safe on streams dedicated to these draws:
     /// interleaving other draws from the same stream between bits would
     /// read positions the batch already consumed.
-    pub fn bernoulli_block(&mut self, threshold: u64) -> u64 {
+    pub(crate) fn bernoulli_block(&mut self, threshold: u64) -> u64 {
         let mut bits = 0u64;
         for i in 0..64 {
             bits |= u64::from((self.inner.next_u64() >> 11) < threshold) << i;
@@ -249,17 +238,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(!r.exp_duration(1e9).is_zero());
         }
-    }
-
-    #[test]
-    fn geometric_mean() {
-        let mut r = SimRng::new(11);
-        let p = 0.25;
-        let n = 100_000;
-        let total: u64 = (0..n).map(|_| r.geometric(p)).sum();
-        let mean = total as f64 / n as f64;
-        // E[X] = (1-p)/p = 3.
-        assert!((mean - 3.0).abs() < 0.08, "mean {mean}");
     }
 
     #[test]

@@ -385,7 +385,7 @@ impl Tracer {
     }
 
     /// Logs an unparented span with a static label (fault episodes).
-    pub fn span_labeled(
+    pub(crate) fn span_labeled(
         &mut self,
         at: SimTime,
         end: SimTime,
@@ -401,7 +401,7 @@ impl Tracer {
     /// [`Actor::Engine`] lane. Event handling consumes no virtual time
     /// (the clock only advances when the queue pops), so the span's
     /// width is structural, not temporal.
-    pub fn dispatch(&mut self, at: SimTime, label: &'static str) {
+    pub(crate) fn dispatch(&mut self, at: SimTime, label: &'static str) {
         self.push(
             TraceId::NONE,
             at,
@@ -429,7 +429,7 @@ impl Tracer {
 
     /// Closes an open span at `end` (no-op for [`TraceId::NONE`], for
     /// dropped events, and for already-closed spans).
-    pub fn close(&mut self, id: TraceId, end: SimTime) {
+    pub(crate) fn close(&mut self, id: TraceId, end: SimTime) {
         if self.capacity == 0 {
             return;
         }

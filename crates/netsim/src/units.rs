@@ -41,7 +41,7 @@ impl Bandwidth {
     }
 
     /// Kilobits per second, as a float.
-    pub fn as_kbps_f64(self) -> f64 {
+    pub(crate) fn as_kbps_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
@@ -59,25 +59,11 @@ impl Bandwidth {
         SimDuration::from_micros(u64::try_from(us).expect("transmit time overflow"))
     }
 
-    /// Packets per second achievable for a fixed packet size, as a float.
-    pub fn packets_per_sec(self, packet_bytes: usize) -> f64 {
-        self.0 as f64 / (packet_bytes as f64 * 8.0)
-    }
-
     /// Scales the bandwidth by `k ∈ [0, ∞)`, rounding to the nearest bit/s.
     /// Used to split a session budget into sub-queue shares.
     pub fn mul_f64(self, k: f64) -> Bandwidth {
         assert!(k.is_finite() && k >= 0.0, "invalid bandwidth scale {k}");
         Bandwidth((self.0 as f64 * k).round() as u64)
-    }
-
-    /// The fraction `self / total`, or 0 when `total` is zero.
-    pub fn fraction_of(self, total: Bandwidth) -> f64 {
-        if total.is_zero() {
-            0.0
-        } else {
-            self.0 as f64 / total.0 as f64
-        }
     }
 
     /// Subtracts, saturating at zero.
@@ -144,20 +130,20 @@ mod tests {
     }
 
     #[test]
-    fn packets_per_sec_matches_paper_units() {
-        // The paper's mu_data = 45 kbps with 1000-byte ADUs is 5.625 pkt/s.
-        let r = Bandwidth::from_kbps(45).packets_per_sec(1000);
-        assert!((r - 5.625).abs() < 1e-12);
+    fn transmit_time_matches_paper_units() {
+        // The paper's mu_data = 45 kbps with 1000-byte ADUs is 5.625
+        // pkt/s: 1/5.625 s = 177_777.7 us, rounded up.
+        let t = Bandwidth::from_kbps(45).transmit_time(1000);
+        assert_eq!(t, SimDuration::from_micros(177_778));
+        assert!((1.0 / t.as_secs_f64() - 5.625).abs() < 1e-4);
     }
 
     #[test]
-    fn split_and_fraction() {
+    fn split_and_subtract() {
         let total = Bandwidth::from_kbps(45);
         let hot = total.mul_f64(0.4);
         assert_eq!(hot.as_bps(), 18_000);
-        assert!((hot.fraction_of(total) - 0.4).abs() < 1e-12);
         assert_eq!(total - hot, Bandwidth::from_kbps(27));
-        assert_eq!(Bandwidth::ZERO.fraction_of(Bandwidth::ZERO), 0.0);
     }
 
     #[test]

@@ -83,22 +83,28 @@ proptest! {
         );
     }
 
-    /// A transmitter never serves more than its rate allows: the total
-    /// busy time of back-to-back submissions equals sum(bytes)/rate.
+    /// A server that serializes packets back to back at `rate` never
+    /// outruns it: the summed transmit times cover the exact
+    /// `sum(bits) / rate`, and overshoot it by less than the one
+    /// microsecond of rounding each packet may add.
     #[test]
-    fn transmitter_conserves_capacity(
+    fn transmit_time_conserves_capacity(
         sizes in prop::collection::vec(1usize..10_000, 1..100),
-        kbps in 1u64..10_000,
+        bps in 1_000u64..100_000_000,
     ) {
-        let rate = Bandwidth::from_kbps(kbps);
-        let mut tx = Transmitter::new(rate);
-        let mut expected = SimTime::ZERO;
-        for &s in &sizes {
-            let depart = tx.submit(SimTime::ZERO, s);
-            expected += rate.transmit_time(s);
-            prop_assert_eq!(depart, expected, "back-to-back serialization");
-        }
-        prop_assert_eq!(tx.bytes_sent(), sizes.iter().map(|&s| s as u64).sum::<u64>());
+        let rate = Bandwidth::from_bps(bps);
+        let busy_us: u128 = sizes
+            .iter()
+            .map(|&s| u128::from(rate.transmit_time(s).as_micros()))
+            .sum();
+        let bits: u128 = sizes.iter().map(|&s| s as u128 * 8).sum();
+        let exact_us = bits * 1_000_000;
+        let rate_bps = u128::from(bps);
+        prop_assert!(busy_us * rate_bps >= exact_us, "outran the rate");
+        prop_assert!(
+            (busy_us - sizes.len() as u128) * rate_bps < exact_us,
+            "more than 1 us of rounding per packet"
+        );
     }
 
     /// Derived RNG streams are reproducible and label-disjoint.

@@ -24,4 +24,4 @@ pub mod sync_time;
 
 pub use mm1::Mm1;
 pub use openloop::{OpenLoop, Transitions};
-pub use sync_time::{cycles_for_probability, expected_cycles_to_sync, expected_sync_time};
+pub use sync_time::{expected_cycles_to_sync, expected_sync_time};

@@ -64,12 +64,6 @@ impl Mm1 {
         assert!(self.is_stable(), "unstable queue");
         self.rho() / (self.mu - self.lambda)
     }
-
-    /// Probability the system is empty, `1 − ρ`.
-    pub fn p_empty(&self) -> f64 {
-        assert!(self.is_stable(), "unstable queue");
-        1.0 - self.rho()
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +78,6 @@ mod tests {
         assert!((q.mean_jobs() - 2.0 / 3.0).abs() < 1e-12);
         assert!((q.mean_sojourn() - 1.0 / 3.0).abs() < 1e-12);
         assert!((q.mean_wait() - 0.4 / 3.0).abs() < 1e-12);
-        assert!((q.p_empty() - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -52,31 +52,6 @@ pub fn expected_sync_time(n: u64, mu: f64, p_loss: f64) -> f64 {
     expected_cycles_to_sync(n, p_loss) * n as f64 / mu
 }
 
-/// The probability the store is fully synchronized within `cycles`
-/// announcement cycles: `(1 − p^cycles)^n`.
-pub fn sync_probability(n: u64, p_loss: f64, cycles: u32) -> f64 {
-    assert!(n > 0, "empty store");
-    assert!((0.0..1.0).contains(&p_loss), "loss {p_loss}");
-    (1.0 - p_loss.powi(cycles as i32)).powf(n as f64)
-}
-
-/// The number of cycles needed to be synchronized with probability at
-/// least `target` — the provisioning question ("how long must a joiner
-/// listen to be 99% caught up?").
-pub fn cycles_for_probability(n: u64, p_loss: f64, target: f64) -> u32 {
-    assert!((0.0..1.0).contains(&target), "target {target}");
-    if p_loss == 0.0 {
-        return 1;
-    }
-    // Solve (1 - p^k)^n >= target  =>  p^k <= 1 - target^(1/n).
-    let bound = 1.0 - target.powf(1.0 / n as f64);
-    if bound <= 0.0 {
-        return u32::MAX;
-    }
-    let k = bound.ln() / p_loss.ln();
-    (k.ceil() as u32).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,8 +59,6 @@ mod tests {
     #[test]
     fn lossless_takes_one_cycle() {
         assert_eq!(expected_cycles_to_sync(100, 0.0), 1.0);
-        assert_eq!(cycles_for_probability(100, 0.0, 0.99), 1);
-        assert_eq!(sync_probability(100, 0.0, 1), 1.0);
     }
 
     #[test]
@@ -126,36 +99,6 @@ mod tests {
             let e = expected_cycles_to_sync(n, 0.3);
             assert!(e >= last);
             last = e;
-        }
-    }
-
-    #[test]
-    fn sync_probability_matches_expectation_shape() {
-        let (n, p) = (50u64, 0.3);
-        // The expected max sits where the CDF transitions; the sync
-        // probability at ceil(E) cycles should be substantial and at
-        // E/2 cycles small.
-        let e = expected_cycles_to_sync(n, p);
-        let at_e = sync_probability(n, p, e.ceil() as u32);
-        let at_half = sync_probability(n, p, (e / 2.0).floor().max(1.0) as u32);
-        assert!(at_e > 0.4, "P[synced at E[max]] = {at_e}");
-        assert!(at_half < at_e, "{at_half} < {at_e}");
-    }
-
-    #[test]
-    fn cycles_for_probability_is_sufficient() {
-        for (n, p, target) in [(10u64, 0.2, 0.9), (200, 0.5, 0.99), (5, 0.8, 0.95)] {
-            let k = cycles_for_probability(n, p, target);
-            assert!(
-                sync_probability(n, p, k) >= target,
-                "k={k} insufficient for (n={n}, p={p}, target={target})"
-            );
-            if k > 1 {
-                assert!(
-                    sync_probability(n, p, k - 1) < target,
-                    "k={k} not minimal for (n={n}, p={p}, target={target})"
-                );
-            }
         }
     }
 

@@ -34,18 +34,18 @@ fn raw_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// A `"key": <number>` field of a flat JSON object.
-pub fn json_f64(json: &str, key: &str) -> Option<f64> {
+pub(crate) fn json_f64(json: &str, key: &str) -> Option<f64> {
     raw_field(json, key)?.parse().ok()
 }
 
 /// A `"key": <integer>` field of a flat JSON object.
-pub fn json_u64(json: &str, key: &str) -> Option<u64> {
+pub(crate) fn json_u64(json: &str, key: &str) -> Option<u64> {
     raw_field(json, key)?.parse().ok()
 }
 
 /// A `"key": "<string>"` field of a flat JSON object (no escapes — the
 /// harness emits plain ASCII labels).
-pub fn json_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+pub(crate) fn json_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":");
     let at = json.find(&needle)? + needle.len();
     let rest = json[at..].trim_start().strip_prefix('"')?;
@@ -103,7 +103,7 @@ pub struct BenchRun {
 
 /// Parses the fixed layout `experiments bench` writes. `what` names the
 /// source file for error messages.
-pub fn parse_bench(json: &str, what: &str) -> Result<BenchRun, String> {
+pub(crate) fn parse_bench(json: &str, what: &str) -> Result<BenchRun, String> {
     check_schema(json, what)?;
     let need = |key: &str| -> Result<f64, String> {
         json_f64(json, key).ok_or_else(|| format!("{what}: missing field '{key}'"))
@@ -169,7 +169,7 @@ pub struct SketchLine {
 /// Parses one `results/metrics/<name>.jsonl` artifact, returning its
 /// sketch lines (quantile summaries) only — the rest of the artifact is
 /// compared byte-for-byte by the determinism gates, not here.
-pub fn parse_metrics(content: &str, what: &str) -> Result<Vec<SketchLine>, String> {
+pub(crate) fn parse_metrics(content: &str, what: &str) -> Result<Vec<SketchLine>, String> {
     let header = content
         .lines()
         .next()
@@ -210,7 +210,7 @@ pub struct ProfileArtifact {
 impl ProfileArtifact {
     /// Attributed share of total events, in [0, 1]; 1 when there were
     /// no events at all.
-    pub fn attribution(&self) -> f64 {
+    pub(crate) fn attribution(&self) -> f64 {
         if self.events_total == 0 {
             1.0
         } else {
@@ -220,7 +220,7 @@ impl ProfileArtifact {
 }
 
 /// Parses one committed profile artifact (counts only).
-pub fn parse_profile(content: &str, what: &str) -> Result<ProfileArtifact, String> {
+pub(crate) fn parse_profile(content: &str, what: &str) -> Result<ProfileArtifact, String> {
     let header = content
         .lines()
         .next()

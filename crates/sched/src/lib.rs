@@ -156,7 +156,7 @@ pub(crate) mod test_support {
 
     /// Runs `n` unit-cost picks with every class always backlogged and
     /// returns per-class service counts.
-    pub fn service_counts(
+    pub(crate) fn service_counts(
         sched: &mut dyn Scheduler,
         weights: &[u64],
         n: usize,
@@ -177,7 +177,7 @@ pub(crate) mod test_support {
     }
 
     /// Asserts service shares match weight shares within `tol` (absolute).
-    pub fn assert_proportional(counts: &[u64], weights: &[u64], tol: f64) {
+    pub(crate) fn assert_proportional(counts: &[u64], weights: &[u64], tol: f64) {
         let total_c: u64 = counts.iter().sum();
         let total_w: u64 = weights.iter().sum();
         for (c, (&got, &w)) in counts.iter().zip(weights).enumerate() {

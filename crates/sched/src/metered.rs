@@ -35,16 +35,6 @@ impl<S: Scheduler> Metered<S> {
         }
     }
 
-    /// How often `class` was picked.
-    pub fn picks(&self, class: ClassId) -> u64 {
-        self.picks.get(class).copied().unwrap_or(0)
-    }
-
-    /// Total cost charged to `class`.
-    pub fn charged(&self, class: ClassId) -> u64 {
-        self.cost.get(class).copied().unwrap_or(0)
-    }
-
     /// The wrapped scheduler.
     pub fn inner(&self) -> &S {
         &self.inner
@@ -121,6 +111,18 @@ impl<S: Scheduler> Scheduler for Metered<S> {
 mod tests {
     use super::*;
     use crate::{Sfq, Stride};
+
+    impl<S: Scheduler> Metered<S> {
+        /// How often `class` was picked.
+        fn picks(&self, class: ClassId) -> u64 {
+            self.picks.get(class).copied().unwrap_or(0)
+        }
+
+        /// Total cost charged to `class`.
+        fn charged(&self, class: ClassId) -> u64 {
+            self.cost.get(class).copied().unwrap_or(0)
+        }
+    }
 
     #[test]
     fn counts_picks_and_cost_transparently() {

@@ -84,11 +84,6 @@ impl Allocator {
         Allocator { cfg }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &AllocatorConfig {
-        &self.cfg
-    }
-
     /// Computes the allocation for the current conditions.
     ///
     /// * `total` — session bandwidth from the congestion manager.
@@ -271,7 +266,7 @@ mod tests {
         let tight = alloc_with(ReliabilityLevel::Quasi { max_fb_share: 0.05 });
         let total = Bandwidth::from_kbps(45);
         let al = tight.allocate(total, 0.5, 1.875);
-        let share = al.feedback.fraction_of(total);
+        let share = al.feedback.as_bps() as f64 / total.as_bps() as f64;
         assert!(share <= 0.05 + 1e-9, "share {share}");
     }
 

@@ -68,7 +68,7 @@ pub enum HashAlgorithm {
 
 impl HashAlgorithm {
     /// A fresh streaming hasher for this algorithm.
-    pub fn hasher(&self) -> Hasher {
+    pub(crate) fn hasher(&self) -> Hasher {
         Hasher(match self {
             HashAlgorithm::Md5 => HashState::Md5(Md5State::new()),
             HashAlgorithm::Fnv64 => HashState::Fnv64(FNV_OFFSET),
@@ -96,7 +96,7 @@ impl HashAlgorithm {
 /// Holds no heap memory, so the namespace hashes a node's child slots
 /// straight into it without building a buffer.
 #[derive(Clone, Debug)]
-pub struct Hasher(HashState);
+pub(crate) struct Hasher(HashState);
 
 #[derive(Clone, Debug)]
 enum HashState {

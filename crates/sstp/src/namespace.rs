@@ -183,11 +183,6 @@ impl Namespace {
         NodeId(0)
     }
 
-    /// The hash algorithm in use.
-    pub fn algorithm(&self) -> HashAlgorithm {
-        self.algo
-    }
-
     fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0 as usize]
     }
@@ -280,7 +275,7 @@ impl Namespace {
 
     /// [`Namespace::update_adu`] for a caller that kept the leaf's id from
     /// [`Namespace::add_adu`]. Panics on an interior node.
-    pub fn update_leaf(&mut self, leaf: NodeId, version: u64, right_edge: u64) {
+    pub(crate) fn update_leaf(&mut self, leaf: NodeId, version: u64, right_edge: u64) {
         match &mut self.node_mut(leaf).payload {
             Payload::Adu {
                 version: v,
@@ -435,24 +430,24 @@ impl Namespace {
 
     /// Resolves a path from the root; `None` if any step is missing or
     /// tombstoned.
-    pub fn node_at(&self, path: &[u16]) -> Option<NodeId> {
+    pub(crate) fn node_at(&self, path: &[u16]) -> Option<NodeId> {
         path.iter()
             .try_fold(self.root(), |id, &slot| self.child_at(id, slot))
     }
 
     /// The child in `slot` of `node`; `None` if the slot is tombstoned or
     /// out of range, or `node` is a leaf.
-    pub fn child_at(&self, node: NodeId, slot: u16) -> Option<NodeId> {
+    pub(crate) fn child_at(&self, node: NodeId, slot: u16) -> Option<NodeId> {
         *self.slots(node).get(usize::from(slot))?
     }
 
     /// `node`'s parent and the slot it holds there; `None` for the root.
-    pub fn parent_of(&self, node: NodeId) -> Option<(NodeId, u16)> {
+    pub(crate) fn parent_of(&self, node: NodeId) -> Option<(NodeId, u16)> {
         self.node(node).parent
     }
 
     /// The path of `node` from the root.
-    pub fn path_of(&self, node: NodeId) -> Path {
+    pub(crate) fn path_of(&self, node: NodeId) -> Path {
         let mut path = Vec::new();
         let mut id = node;
         while let Some((p, slot)) = self.node(id).parent {
@@ -504,7 +499,7 @@ impl Namespace {
     }
 
     /// True when `node` is an ADU leaf.
-    pub fn is_leaf(&self, node: NodeId) -> bool {
+    pub(crate) fn is_leaf(&self, node: NodeId) -> bool {
         matches!(self.node(node).payload, Payload::Adu { .. })
     }
 
@@ -534,7 +529,7 @@ impl Namespace {
     /// mirror, creating default-tagged interiors (and padding tombstoned
     /// slots) as needed. Returns the node, or `None` — with nothing
     /// created — when a step of the path is occupied by a leaf.
-    pub fn ensure_interior_at(&mut self, path: &[u16]) -> Option<NodeId> {
+    pub(crate) fn ensure_interior_at(&mut self, path: &[u16]) -> Option<NodeId> {
         // Walk what exists first: below the first missing step nothing
         // can be in the way.
         let mut id = self.root();
@@ -615,7 +610,7 @@ impl Namespace {
     /// removed ADU, if the slot held one. A slot holding an interior, or
     /// a `parent` that is a leaf, is a structure conflict and is left
     /// alone: senders never retire an interior.
-    pub fn mirror_tombstone(&mut self, parent: NodeId, slot: u16) -> Option<Key> {
+    pub(crate) fn mirror_tombstone(&mut self, parent: NodeId, slot: u16) -> Option<Key> {
         let removed_key = match self.slots(parent).get(usize::from(slot)) {
             Some(None) => return None,
             Some(&Some(id)) => match self.node(id).payload {

@@ -15,7 +15,7 @@
 //!   experiment harness generates these from the `softstate` protocol
 //!   simulations).
 //!
-//! A [`LatencyProfile`] provides the matching `T_rec` prediction used to
+//! A `LatencyProfile` provides the matching `T_rec` prediction used to
 //! pick the hot/cold split, anchored on the M/M/1 sojourn time
 //! `1/(μ_hot − λ)` exactly as the paper anchors Figure 6.
 
@@ -200,7 +200,7 @@ fn bracket(xs: &[f64], x: f64) -> (usize, usize, f64) {
 /// §6.1 consults ("the share of bandwidth for the different transmission
 /// queues is obtained from the T_rec profile").
 #[derive(Clone, Copy, Debug)]
-pub struct LatencyProfile {
+pub(crate) struct LatencyProfile {
     /// Record arrival rate, packets/s.
     pub lambda: f64,
     /// Data budget, packets/s.
@@ -241,7 +241,7 @@ impl LatencyProfile {
 
     /// The hot share minimizing predicted latency, searched at 1%
     /// resolution.
-    pub fn best_hot_share(&self) -> f64 {
+    pub(crate) fn best_hot_share(&self) -> f64 {
         let mut best = (0.5, f64::INFINITY);
         for i in 1..100 {
             let share = i as f64 / 100.0;

@@ -571,7 +571,7 @@ impl SstpReceiver {
     }
 
     /// Builds the periodic receiver report.
-    pub fn make_report(&self) -> Packet {
+    pub(crate) fn make_report(&self) -> Packet {
         Packet::ReceiverReport(self.reporter.make_report())
     }
 

@@ -11,7 +11,7 @@ use crate::wire::ReceiverReportPacket;
 
 /// Receiver-side accounting of the data channel.
 #[derive(Clone, Debug)]
-pub struct ReceiverReporter {
+pub(crate) struct ReceiverReporter {
     receiver_id: u32,
     highest_seq: Option<u64>,
     received: u64,
@@ -28,29 +28,24 @@ impl ReceiverReporter {
     }
 
     /// Notes a received data-channel packet with sequence `seq`.
-    pub fn on_data_channel_packet(&mut self, seq: u64) {
+    pub(crate) fn on_data_channel_packet(&mut self, seq: u64) {
         self.received += 1;
         self.highest_seq = Some(self.highest_seq.map_or(seq, |h| h.max(seq)));
     }
 
     /// Builds the current cumulative report.
-    pub fn make_report(&self) -> ReceiverReportPacket {
+    pub(crate) fn make_report(&self) -> ReceiverReportPacket {
         ReceiverReportPacket {
             receiver_id: self.receiver_id,
             highest_seq: self.highest_seq.unwrap_or(0),
             received: self.received,
         }
     }
-
-    /// Total packets received so far.
-    pub fn received(&self) -> u64 {
-        self.received
-    }
 }
 
 /// Sender-side loss estimation from cumulative receiver reports.
 #[derive(Clone, Debug)]
-pub struct LossEstimator {
+pub(crate) struct LossEstimator {
     alpha: f64,
     ewma: Option<f64>,
     last_highest: u64,
@@ -75,7 +70,7 @@ impl LossEstimator {
 
     /// Ingests a cumulative report; returns the interval loss it implied
     /// (`None` when the interval carried no packets).
-    pub fn on_report(&mut self, report: &ReceiverReportPacket) -> Option<f64> {
+    pub(crate) fn on_report(&mut self, report: &ReceiverReportPacket) -> Option<f64> {
         // Sequences start at 0, so `highest + 1` packets were expected.
         let expected_cum = report.highest_seq + 1;
         let expected = expected_cum.saturating_sub(self.last_highest);
@@ -113,7 +108,6 @@ mod tests {
         assert_eq!(rep.receiver_id, 3);
         assert_eq!(rep.highest_seq, 7);
         assert_eq!(rep.received, 5);
-        assert_eq!(r.received(), 5);
     }
 
     #[test]

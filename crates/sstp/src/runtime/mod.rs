@@ -22,7 +22,7 @@
 //!   the last, partial datagram leaves before the poll returns.
 //! * **Rate control** ([`pacing`]): a per-session token bucket bounds
 //!   each session's hot traffic; a global bucket bounds the socket; a
-//!   [`pacing::VarRateLimit`] paces cold announce batches and is the
+//!   `pacing::VarRateLimit` paces cold announce batches and is the
 //!   knob the degradation policy turns. Publishers whose summary is due
 //!   wait for its grants in a FIFO: arrival order is the fairness.
 //! * **Supervision** ([`supervisor`]): dead-peer detection after a
@@ -645,7 +645,7 @@ impl Runtime {
     /// 1. drain the socket into per-session inboxes, marking each session
     ///    that received something *ready*;
     /// 2. mark ready every session whose timer is due
-    ///    ([`DeadlineIndex::pop_due`]);
+    ///    (`DeadlineIndex::pop_due`);
     /// 3. step the ready sessions only (ingest, then emit hot traffic and
     ///    feedback under the rate budgets), arming each one's next
     ///    wake-up from what its step returned;

@@ -44,7 +44,7 @@ pub const FRAME_OVERHEAD: usize = 6;
 
 /// What one datagram may carry, in **wire-model** bytes
 /// ([`frame_wire_len`] summed over its frames): a 1500-byte MTU less the
-/// [`HEADER_OVERHEAD`] every datagram is charged once. The model counts
+/// `HEADER_OVERHEAD` every datagram is charged once. The model counts
 /// a data packet's *simulated* payload, so a batch is what a deployment
 /// that carried the payloads would fit under the MTU, not what fits
 /// because they are left out. A single frame larger than this travels

@@ -18,7 +18,7 @@ use std::collections::BinaryHeap;
 /// Tokens are bits; the bucket holds at most one second of burst. It never
 /// reads a clock: the caller supplies `now` on every operation, which is
 /// what lets the runtime compute exact wake-up deadlines
-/// ([`TokenBucket::eta`]) instead of busy-polling.
+/// (`TokenBucket::eta`) instead of busy-polling.
 #[derive(Clone, Debug)]
 pub struct TokenBucket {
     rate_bps: f64,
@@ -61,7 +61,7 @@ impl TokenBucket {
     /// ([`SimDuration::ZERO`] when it already fits). This is the
     /// runtime's wake-up deadline for a throttled packet: sleep exactly
     /// this long instead of retrying on a fixed poll interval.
-    pub fn eta(&mut self, now: SimTime, bytes: usize) -> SimDuration {
+    pub(crate) fn eta(&mut self, now: SimTime, bytes: usize) -> SimDuration {
         self.refill(now);
         let need = bytes as f64 * 8.0;
         if self.tokens >= need {
@@ -79,7 +79,7 @@ impl TokenBucket {
     /// returns the [`TokenBucket::eta`] of the **same** `bytes`. One call
     /// site for both halves, so the cost that was refused and the cost
     /// the wake-up is armed for cannot drift apart.
-    pub fn take_or_eta(&mut self, now: SimTime, bytes: usize) -> Result<(), SimDuration> {
+    pub(crate) fn take_or_eta(&mut self, now: SimTime, bytes: usize) -> Result<(), SimDuration> {
         if self.try_take(now, bytes) {
             Ok(())
         } else {
@@ -98,7 +98,7 @@ impl TokenBucket {
 /// runtime policy — and restores it once backpressure clears; hot data
 /// and feedback never pass through the pacer.
 #[derive(Clone, Debug)]
-pub struct VarRateLimit {
+pub(crate) struct VarRateLimit {
     /// Permitted operations per second.
     rate: u32,
     /// The instant the next operation becomes permitted.
@@ -122,7 +122,7 @@ impl VarRateLimit {
 
     /// Re-tunes the permitted rate without resetting the in-flight
     /// spacing (the next operation keeps its already-earned slot).
-    pub fn set_rate(&mut self, rate: u32) {
+    pub(crate) fn set_rate(&mut self, rate: u32) {
         self.rate = rate.max(1);
     }
 
@@ -132,7 +132,7 @@ impl VarRateLimit {
     /// the previous poll as a batch — otherwise a 1 ms poll interval
     /// would silently cap *any* configured rate at one op per poll. The
     /// bound keeps a long-idle pacer from dumping an unbounded burst.
-    pub const BURST_OPS: u64 = 64;
+    pub(crate) const BURST_OPS: u64 = 64;
 
     /// Permits one operation at `now` if the pacer allows it, charging
     /// the inter-operation gap implied by the current rate. Credit
@@ -151,20 +151,16 @@ impl VarRateLimit {
         true
     }
 
-    /// When the next operation becomes permitted (a wake-up deadline).
-    pub fn next_allowed(&self) -> SimTime {
-        self.next_allowed
-    }
-
     /// The earliest instant at which `n` back-to-back [`check`]s will all
-    /// succeed at the current rate: `next_allowed + (n - 1) * gap`. A
-    /// caller with a backlog sleeps until a batch of grants has banked
-    /// instead of waking once per gap. Exact for `n` up to
+    /// succeed at the current rate: `next_allowed + (n - 1) * gap`, and at
+    /// `n = 1` the next operation's own deadline. A caller with a backlog
+    /// sleeps until a batch of grants has banked instead of waking once
+    /// per gap. Exact for `n` up to
     /// [`VarRateLimit::BURST_OPS`] (more credit than that is never
     /// banked).
     ///
     /// [`check`]: VarRateLimit::check
-    pub fn allowed_at(&self, n: u64) -> SimTime {
+    pub(crate) fn allowed_at(&self, n: u64) -> SimTime {
         let wait = self.gap().as_micros().saturating_mul(n.saturating_sub(1));
         self.next_allowed
             .saturating_add(SimDuration::from_micros(wait))
@@ -179,7 +175,7 @@ impl VarRateLimit {
 /// without scanning the slots.
 ///
 /// Entries are **lower bounds**, validated lazily. A slot holds one
-/// *armed* deadline; [`DeadlineIndex::arm`] pushes a heap entry only when
+/// *armed* deadline; `DeadlineIndex::arm` pushes a heap entry only when
 /// the deadline moves *earlier* than the armed one. A deadline that moves
 /// later costs nothing: the armed entry fires early, the owner re-checks
 /// its true deadline (an idempotent step) and arms again. That is what
@@ -187,7 +183,7 @@ impl VarRateLimit {
 /// deadline out, hot traffic leaving `next_summary` alone — off the heap.
 ///
 /// Superseded entries stay in the heap until they surface and are
-/// discarded by [`DeadlineIndex::pop_due`] (their time no longer matches
+/// discarded by `DeadlineIndex::pop_due` (their time no longer matches
 /// the slot's armed stamp), so a vacated and reused slot is never woken
 /// by its previous occupant's timers. The heap is rebuilt from the stamps
 /// whenever stale entries outnumber live ones, which bounds it at
@@ -217,7 +213,7 @@ impl DeadlineIndex {
     /// Asks for `slot` to be returned by [`DeadlineIndex::pop_due`] no
     /// later than `at`. A no-op when the slot is already armed for `at` or
     /// earlier ([`SimTime::MAX`] means "no deadline" and never arms).
-    pub fn arm(&mut self, slot: u32, at: SimTime) {
+    pub(crate) fn arm(&mut self, slot: u32, at: SimTime) {
         let idx = slot as usize;
         if self.stamps.len() <= idx {
             self.stamps.resize(idx + 1, SimTime::MAX);
@@ -253,7 +249,7 @@ impl DeadlineIndex {
     /// Disarms `slot`: whatever is in the heap for it is now stale. Call
     /// when the slot's occupant goes away, so a later occupant starts
     /// with no timers.
-    pub fn vacate(&mut self, slot: u32) {
+    pub(crate) fn vacate(&mut self, slot: u32) {
         if let Some(stamp) = self.stamps.get_mut(slot as usize) {
             if *stamp != SimTime::MAX {
                 *stamp = SimTime::MAX;
@@ -267,7 +263,7 @@ impl DeadlineIndex {
     /// it (the owner arms it again once it knows its next deadline).
     /// `None` once nothing more is due. Stale entries met on the way are
     /// discarded.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<u32> {
+    pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<u32> {
         while let Some(&Reverse((at, slot))) = self.heap.peek() {
             if at > now {
                 return None;
@@ -283,7 +279,7 @@ impl DeadlineIndex {
         None
     }
 
-    /// The earliest entry's time: when to call [`DeadlineIndex::pop_due`]
+    /// The earliest entry's time: when to call `DeadlineIndex::pop_due`
     /// next. A lower bound — the entry may turn out stale.
     pub fn next(&self) -> Option<SimTime> {
         self.heap.peek().map(|&Reverse((at, _))| at)
@@ -381,7 +377,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         assert!(p.check(t0));
         assert!(!p.check(t0 + SimDuration::from_millis(99)));
-        assert_eq!(p.next_allowed(), t0 + SimDuration::from_millis(100));
+        assert_eq!(p.allowed_at(1), t0 + SimDuration::from_millis(100));
         assert!(p.check(t0 + SimDuration::from_millis(100)));
     }
 
@@ -394,11 +390,11 @@ mod tests {
         p.set_rate(2);
         assert!(!p.check(t0 + SimDuration::from_millis(99)));
         assert!(p.check(t0 + SimDuration::from_millis(100)));
-        assert_eq!(p.next_allowed(), t0 + SimDuration::from_millis(600));
+        assert_eq!(p.allowed_at(1), t0 + SimDuration::from_millis(600));
         // Restore: gaps narrow again from the next grant on.
         p.set_rate(10);
         assert!(p.check(t0 + SimDuration::from_millis(600)));
-        assert_eq!(p.next_allowed(), t0 + SimDuration::from_millis(700));
+        assert_eq!(p.allowed_at(1), t0 + SimDuration::from_millis(700));
     }
 
     #[test]
@@ -422,13 +418,13 @@ mod tests {
         let clock = ManualClock::new();
         let mut p = VarRateLimit::new(1000); // 1 ms gap
         assert!(p.check(clock.now()));
-        assert_eq!(p.allowed_at(0), p.next_allowed());
-        assert_eq!(p.allowed_at(1), p.next_allowed());
+        assert_eq!(p.allowed_at(0), p.allowed_at(1));
+        assert_eq!(p.allowed_at(1), p.allowed_at(1));
         for n in [2u64, 7, VarRateLimit::BURST_OPS] {
             let mut early = p.clone();
             let mut at = p.clone();
             let t = p.allowed_at(n);
-            assert_eq!(t, p.next_allowed() + SimDuration::from_millis(n - 1));
+            assert_eq!(t, p.allowed_at(1) + SimDuration::from_millis(n - 1));
             // One tick short, the batch comes up one grant short...
             let before = t - SimDuration::from_micros(1);
             let granted = (0..n).filter(|_| early.check(before)).count() as u64;
@@ -441,7 +437,7 @@ mod tests {
         p.set_rate(10);
         assert_eq!(
             p.allowed_at(3),
-            p.next_allowed() + SimDuration::from_millis(200)
+            p.allowed_at(1) + SimDuration::from_millis(200)
         );
     }
 

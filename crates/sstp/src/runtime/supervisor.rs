@@ -37,16 +37,11 @@ pub struct BackoffSchedule {
 
 impl BackoffSchedule {
     /// The exponent cap: gaps stop doubling after `2^4`.
-    pub const CAP_SHIFT: u32 = 4;
+    pub(crate) const CAP_SHIFT: u32 = 4;
 
     /// A schedule with the given base gap.
     pub fn new(base: SimDuration) -> Self {
         BackoffSchedule { base }
-    }
-
-    /// The base gap (attempt 0).
-    pub fn base(&self) -> SimDuration {
-        self.base
     }
 
     /// The minimum gap before the `n`-th re-probe:
@@ -59,15 +54,9 @@ impl BackoffSchedule {
         )
     }
 
-    /// The capped maximum gap (`16 * base`) — probing never slows below
-    /// this, so a healed peer is re-detected within a bounded interval.
-    pub fn max_gap(&self) -> SimDuration {
-        self.gap(Self::CAP_SHIFT)
-    }
-
     /// The largest jitter added to gap `n` (a quarter of the gap,
     /// mirroring the receiver's re-request jitter).
-    pub fn jitter_bound(&self, n: u32) -> SimDuration {
+    pub(crate) fn jitter_bound(&self, n: u32) -> SimDuration {
         SimDuration::from_micros(self.gap(n).as_micros() / 4)
     }
 }
@@ -167,11 +156,6 @@ impl Supervisor {
         }
     }
 
-    /// The configured schedule.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.cfg
-    }
-
     /// Registers session `sid` as healthy as of `now`.
     pub fn register(&mut self, sid: u32, now: SimTime) {
         self.deregister(sid);
@@ -192,7 +176,7 @@ impl Supervisor {
     }
 
     /// Removes session `sid` from supervision.
-    pub fn deregister(&mut self, sid: u32) {
+    pub(crate) fn deregister(&mut self, sid: u32) {
         if let Some(slot) = self.entries.get_mut(sid as usize) {
             if let Some(e) = slot.take() {
                 self.active -= usize::from(e.is_active(&self.cfg));
@@ -325,7 +309,7 @@ impl Supervisor {
     /// sessions — the supervisor's contribution to the runtime's wake-up
     /// time. Waking at it and calling [`Supervisor::due_probes`] is always
     /// safe: an entry that was only early is re-armed there.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         self.probe_index.next()
     }
 
@@ -376,7 +360,11 @@ mod tests {
         assert_eq!(b.gap(1), SimDuration::from_millis(200));
         assert_eq!(b.gap(4), SimDuration::from_millis(1600));
         assert_eq!(b.gap(5), SimDuration::from_millis(1600));
-        assert_eq!(b.gap(40), b.max_gap());
+        assert_eq!(
+            b.gap(40),
+            SimDuration::from_millis(1600),
+            "capped at 16x base"
+        );
     }
 
     #[test]

@@ -287,7 +287,7 @@ impl SstpSender {
     /// §6.1's "the application flexibly controls the amount of bandwidth
     /// allocated to its different data classes". Weight 0 pauses the
     /// class. Classes default to weight 1.
-    pub fn set_class_weight(&mut self, tag: MetaTag, weight: u64) {
+    pub(crate) fn set_class_weight(&mut self, tag: MetaTag, weight: u64) {
         let c = self.class_for(tag);
         self.hot_sched.set_weight(c, weight);
     }
@@ -526,22 +526,12 @@ impl SstpSender {
 
     /// The smoothed loss estimate: the mean of the per-receiver
     /// estimators (0 before any report). The mean drives the allocator
-    /// toward the group's typical conditions; use
-    /// [`SstpSender::worst_receiver_loss`] to provision for the worst.
-    pub fn estimated_loss(&self) -> f64 {
+    /// toward the group's typical conditions.
+    pub(crate) fn estimated_loss(&self) -> f64 {
         if self.loss.is_empty() {
             return 0.0;
         }
         self.loss.values().map(LossEstimator::loss).sum::<f64>() / self.loss.len() as f64
-    }
-
-    /// The highest per-receiver smoothed loss estimate (0 before any
-    /// report).
-    pub fn worst_receiver_loss(&self) -> f64 {
-        self.loss
-            .values()
-            .map(LossEstimator::loss)
-            .fold(0.0, f64::max)
     }
 
     /// The publisher's table (ground truth for consistency probes).

@@ -1370,6 +1370,9 @@ pub fn run(cfg: &SessionConfig) -> SessionReport {
 mod tests {
     use super::*;
     use crate::reliability::ReliabilityLevel;
+    use ss_netsim::trace::TraceEvent;
+    use ss_netsim::FaultKind;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn base_cfg(seed: u64) -> SessionConfig {
         let mut cfg = SessionConfig::unicast_default(seed);
@@ -1844,6 +1847,179 @@ mod tests {
             "announce rate must be degraded during the outage, factor {g}"
         );
         assert!(report.recovery.unwrap().fault_drops > 0);
+    }
+
+    /// Spans of `actor` that occupy a server (instants excluded), in
+    /// start order, as `(start, end, span)`.
+    fn wire_spans(trace: &Tracer, actor: Actor) -> Vec<(SimTime, SimTime, &TraceEvent)> {
+        let mut spans: Vec<_> = trace
+            .events()
+            .iter()
+            .filter(|e| e.actor == actor)
+            .filter_map(|e| e.end.map(|end| (e.at, end, e)))
+            .collect();
+        spans.sort_by_key(|&(at, end, _)| (at, end));
+        spans
+    }
+
+    /// Each data server and each receiver's feedback server sends one
+    /// packet at a time: its wire spans never overlap, each takes
+    /// positive serialization time, and there is one span per packet the
+    /// counters say it sent.
+    #[test]
+    fn servers_serialize_back_to_back() {
+        let mut cfg = base_cfg(26);
+        cfg.n_receivers = 3;
+        cfg.slot_window = Some(SimDuration::from_secs(2));
+        cfg.trace_capacity = 400_000;
+        let report = run(&cfg);
+        assert_eq!(report.trace.dropped(), 0);
+
+        let mut actors = vec![Actor::HotServer, Actor::ColdServer];
+        actors.extend((0..3).map(Actor::Feedback));
+        let mut sent = [0u64; 2];
+        for actor in actors {
+            let spans = wire_spans(&report.trace, actor);
+            assert!(spans.len() > 10, "{actor:?} sent {}", spans.len());
+            for &(at, end, _) in &spans {
+                assert!(end > at, "{actor:?}: zero-length span at {at:?}");
+            }
+            for pair in spans.windows(2) {
+                let ((_, prev_end, _), (next_at, _, _)) = (pair[0], pair[1]);
+                assert!(
+                    next_at >= prev_end,
+                    "{actor:?} overlaps: {next_at:?} < {prev_end:?}"
+                );
+            }
+            let data = matches!(actor, Actor::HotServer | Actor::ColdServer);
+            sent[usize::from(!data)] += spans.len() as u64;
+        }
+        assert_eq!(sent[0], report.packets.data_channel_tx);
+        assert_eq!(sent[1], report.packets.feedback_tx);
+    }
+
+    /// A bandwidth-degradation episode doubles (at factor 0.5) the
+    /// serialization time of exactly the data-channel packets that start
+    /// inside it: each such packet takes twice as long as a packet of the
+    /// same server, kind and key sent outside the episode.
+    #[test]
+    fn bandwidth_degradation_stretches_wire_spans() {
+        let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        let episode = at(100)..at(200);
+        let mut cfg = chaos_cfg(27);
+        cfg.adapt_interval = None;
+        cfg.trace_capacity = 400_000;
+        cfg.faults = FaultSpec::none().with(at(100), at(200), FaultKind::Bandwidth(0.5));
+        let report = run(&cfg);
+        assert_eq!(report.trace.dropped(), 0);
+
+        let mut slowed = 0;
+        for actor in [Actor::HotServer, Actor::ColdServer] {
+            let spans = wire_spans(&report.trace, actor);
+            let mut normal: BTreeMap<_, BTreeSet<u64>> = BTreeMap::new();
+            for &(start, end, e) in spans.iter().filter(|s| !episode.contains(&s.0)) {
+                let d = (end - start).as_micros();
+                normal.entry((e.kind, e.key)).or_default().insert(d);
+            }
+            for &(start, end, e) in spans.iter().filter(|s| episode.contains(&s.0)) {
+                let Some(base) = normal.get(&(e.kind, e.key)) else {
+                    continue;
+                };
+                let d = (end - start).as_micros();
+                assert!(
+                    d % 2 == 0 && base.contains(&(d / 2)),
+                    "{actor:?} {:?} at {start:?} took {d} us, outside {base:?}",
+                    e.kind
+                );
+                slowed += 1;
+            }
+        }
+        assert!(slowed > 100, "{slowed} packets sent in the episode");
+        assert_eq!(report.recovery.unwrap().fault_drops, 0);
+    }
+
+    /// The data channel delays every packet by exactly the propagation
+    /// delay: each install happens `prop_delay` after the wire span that
+    /// carried it finished serializing.
+    #[test]
+    fn channel_applies_propagation_delay() {
+        let mut cfg = base_cfg(30);
+        cfg.prop_delay = SimDuration::from_millis(120);
+        cfg.trace_capacity = 400_000;
+        let report = run(&cfg);
+        assert_eq!(report.trace.dropped(), 0);
+
+        let spans: BTreeMap<TraceId, SimTime> = report
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| e.end.map(|end| (e.id, end)))
+            .collect();
+        let mut delivered = 0;
+        for d in report.trace.of_kind(TraceKind::Deliver) {
+            let depart = spans[&d.parent];
+            assert_eq!(d.at - depart, cfg.prop_delay, "key {}", d.key);
+            delivered += 1;
+        }
+        assert!(delivered > 100, "{delivered} installs");
+    }
+
+    /// Each receiver's data channel and each feedback channel loses
+    /// packets at its configured long-run rate.
+    #[test]
+    fn channel_loss_tracks_model() {
+        let mut cfg = base_cfg(28);
+        cfg.n_receivers = 4;
+        cfg.slot_window = Some(SimDuration::from_secs(2));
+        cfg.data_loss = LossSpec::Bernoulli(0.2);
+        cfg.fb_loss = LossSpec::Bernoulli(0.1);
+        cfg.duration = SimDuration::from_secs(2_000);
+        let p = run(&cfg).packets;
+        let data = p.data_rx_lost as f64 / (p.data_channel_tx * 4) as f64;
+        assert!((data - 0.2).abs() < 0.01, "data loss {data}");
+        assert!(p.feedback_tx > 1_000, "{} feedback packets", p.feedback_tx);
+        let fb = p.feedback_lost as f64 / p.feedback_tx as f64;
+        assert!((fb - 0.1).abs() < 0.02, "feedback loss {fb}");
+    }
+
+    /// A partition drops every packet the data servers put on the wire
+    /// while it lasts, so no replica installs anything until the packets
+    /// sent after the heal arrive.
+    #[test]
+    fn partition_drops_every_packet_it_covers() {
+        let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        let mut cfg = chaos_cfg(29);
+        cfg.workload.arrivals = ArrivalProcess::Poisson { rate: 0.5 };
+        cfg.trace_capacity = 400_000;
+        cfg.faults = FaultSpec::none().partition(at(60), at(150));
+        let report = run(&cfg);
+        assert_eq!(report.trace.dropped(), 0);
+
+        let mut covered = 0;
+        for actor in [Actor::HotServer, Actor::ColdServer] {
+            for (start, _, span) in wire_spans(&report.trace, actor) {
+                if !(at(60)..at(150)).contains(&start) {
+                    continue;
+                }
+                covered += 1;
+                let drops = report
+                    .trace
+                    .of_kind(TraceKind::Drop)
+                    .filter(|d| d.parent == span.id)
+                    .count();
+                assert_eq!(drops, 1, "span at {start:?} reached the receiver");
+            }
+        }
+        assert!(covered > 100, "{covered} packets sent in the partition");
+        // A packet that left before the partition may still land in its
+        // first second (serialization plus the 50 ms delay).
+        let delivered_at: Vec<SimTime> = report
+            .trace
+            .of_kind(TraceKind::Deliver)
+            .map(|d| d.at)
+            .collect();
+        assert!(delivered_at.iter().all(|t| !(at(61)..at(150)).contains(t)));
+        assert!(delivered_at.iter().any(|&t| t >= at(150)));
     }
 
     /// The three `sim_session` benchmark shapes (copied from

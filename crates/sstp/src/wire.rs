@@ -172,7 +172,7 @@ const ENTRY_INTERIOR: u8 = 1;
 const ENTRY_LEAF: u8 = 2;
 
 /// Fixed per-packet header overhead we charge on the wire (IP+UDP-ish).
-pub const HEADER_OVERHEAD: usize = 28;
+pub(crate) const HEADER_OVERHEAD: usize = 28;
 
 fn put_path(buf: &mut BytesMut, path: &Path) {
     buf.put_u16(path.len() as u16);

@@ -186,7 +186,7 @@ fn replica_map(rx: &SstpReceiver) -> BTreeMap<Key, u64> {
 impl Model {
     /// Whether every replica exactly equals the publisher's live set
     /// (same keys, same versions).
-    pub fn is_converged(&self) -> bool {
+    pub(crate) fn is_converged(&self) -> bool {
         let live: BTreeMap<Key, u64> = self
             .sender
             .table()
@@ -198,7 +198,7 @@ impl Model {
 
     /// A one-line description of how the replicas diverge from the
     /// publisher, for non-convergence reports.
-    pub fn divergence_report(&self) -> String {
+    pub(crate) fn divergence_report(&self) -> String {
         let live: BTreeMap<Key, u64> = self
             .sender
             .table()

@@ -431,7 +431,7 @@ impl Model {
 
     /// The sender's live keys in ascending order (the `idx` namespace
     /// for [`Action::Update`] / [`Action::Withdraw`]).
-    pub fn live_keys(&self) -> Vec<Key> {
+    pub(crate) fn live_keys(&self) -> Vec<Key> {
         self.sender.table().live().map(|r| r.key).collect()
     }
 
@@ -697,7 +697,7 @@ impl Model {
     /// Whether the wire is empty (nothing in flight in either
     /// direction) — the states where the quiescent-drain convergence
     /// check runs.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.data_flights.iter().all(VecDeque::is_empty)
             && self.fb_flights.iter().all(VecDeque::is_empty)
     }

@@ -1,6 +1,7 @@
 //! The prose of EXPERIMENTS.md's Figure 10 and 11 entries, its §6.1
-//! entries ("Profile-driven adaptation", "Profile accuracy") and its §6
-//! "Multicast feedback suppression" entry checked
+//! entries ("Profile-driven adaptation", "Profile accuracy"), its §6
+//! "Multicast feedback suppression" and "Reliability continuum" entries
+//! and its "Reconvergence after faults" entry checked
 //! against the committed CSVs it describes: every number those
 //! paragraphs state is read back here, at the precision the prose gives
 //! it. No simulation runs; a regenerated
@@ -299,5 +300,174 @@ fn multicast_prose_matches_multicast_csv() {
     // Consistency rounds to 0.99 at every group size.
     for c in col(4) {
         assert_eq!(fixed(c, 2), "0.99", "consistency {c}");
+    }
+}
+
+/// "Reliability continuum (`continuum`) — §6".
+#[test]
+fn continuum_prose_matches_continuum_csv() {
+    let rows = csv("continuum");
+    let levels = [
+        "best-effort",
+        "announce/listen",
+        "quasi (fb<=30%)",
+        "reliable",
+    ];
+    // Four levels per loss, in that order; columns are level, loss,
+    // consistency, data bytes, feedback bytes, repairs.
+    assert_eq!(rows.len(), 12);
+    let c = |loss: usize, level: usize| num(&rows[4 * loss + level][2]);
+    let fb = |loss: usize, level: usize| num(&rows[4 * loss + level][4]);
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(row[0], levels[i % 4]);
+        assert_eq!(fixed(num(&row[1]), 2), ["0.10", "0.25", "0.40"][i / 4]);
+    }
+    let (be, al, quasi, rel) = (0, 1, 2, 3);
+    let stated = |loss: usize, level: usize| fixed(c(loss, level), 3);
+
+    // Best-effort is lowest at every loss, and reliable spends more
+    // feedback bytes than quasi-reliable at every loss.
+    for loss in 0..3 {
+        assert!((1..4).all(|level| c(loss, be) < c(loss, level)), "{loss}");
+    }
+    let spend: Vec<[f64; 2]> = (0..3)
+        .map(|loss| [fb(loss, rel), fb(loss, quasi)])
+        .collect();
+    assert_eq!(
+        spend,
+        [
+            [69_190.0, 44_447.0],
+            [77_179.0, 37_311.0],
+            [52_055.0, 22_374.0]
+        ]
+    );
+
+    // 10 %: 0.849 / 0.912 / 0.959 / 0.956, the feedback levels tied
+    // within 0.003.
+    assert_eq!(
+        (0..4).map(|level| stated(0, level)).collect::<Vec<_>>(),
+        ["0.849", "0.912", "0.959", "0.956"]
+    );
+    assert!((c(0, quasi) - c(0, rel)).abs() < 0.003);
+    // 25 %: reliable leads with 0.868, quasi-reliable (0.820) sits below
+    // announce/listen (0.825), best-effort 0.705.
+    assert_eq!(
+        [
+            stated(1, rel),
+            stated(1, quasi),
+            stated(1, al),
+            stated(1, be)
+        ],
+        ["0.868", "0.820", "0.825", "0.705"]
+    );
+    assert!((0..3).all(|level| c(1, level) < c(1, rel)));
+    assert!(c(1, quasi) < c(1, al));
+    // 40 %: announce/listen 0.709 beats reliable 0.667 and quasi-reliable
+    // 0.618.
+    assert_eq!(
+        [stated(2, al), stated(2, rel), stated(2, quasi)],
+        ["0.709", "0.667", "0.618"]
+    );
+    assert!(c(2, al) > c(2, rel) && c(2, rel) > c(2, quasi));
+}
+
+/// "Reconvergence after faults (`recovery`) — ss-chaos MTTR".
+#[test]
+fn recovery_prose_matches_recovery_csv() {
+    let rows = csv("recovery");
+    // Columns: level, partition, ttl, mttr, stale samples, fault drops,
+    // E[c]. Rows pair announce/listen with quasi-reliable per cell.
+    let mttr = |row: &[String]| match row[3].as_str() {
+        "never" => f64::INFINITY,
+        s => s.strip_suffix('s').expect("seconds").parse().expect("mttr"),
+    };
+    let secs = |cell: &str| -> u32 { cell.strip_suffix('s').expect("seconds").parse().expect("s") };
+    assert_eq!(rows.len(), 16);
+    let cells: Vec<(&[String], &[String])> = rows
+        .chunks(2)
+        .map(|pair| {
+            assert_eq!(
+                [pair[0][0].as_str(), pair[1][0].as_str()],
+                ["announce/listen", "quasi (fb<=30%)"]
+            );
+            assert_eq!(pair[0][1..3], pair[1][1..3], "one cell per pair");
+            (pair[0].as_slice(), pair[1].as_slice())
+        })
+        .collect();
+
+    // Quasi-reliable reconverges faster in all eight cells (`never` is
+    // infinite), and announce/listen reads `never` only at a 30 s TTL.
+    for &(al, quasi) in &cells {
+        assert!(mttr(quasi) < mttr(al), "{al:?} vs {quasi:?}");
+        assert!(mttr(quasi).is_finite());
+        if mttr(al).is_infinite() {
+            assert_eq!(al[2], "30s");
+        }
+    }
+
+    // Over the six cells where both reconverge, 2.2–23.4× faster; the
+    // top is 234 s vs 10 s at a 15 s partition with a 30 s TTL.
+    let ratios: Vec<f64> = cells
+        .iter()
+        .filter(|(al, _)| mttr(al).is_finite())
+        .map(|(al, quasi)| mttr(al) / mttr(quasi))
+        .collect();
+    assert_eq!(ratios.len(), 6);
+    assert_eq!(
+        [fixed(min(&ratios), 1), fixed(max(&ratios), 1)],
+        ["2.2", "23.4"]
+    );
+    let top = cells
+        .iter()
+        .find(|(al, _)| al[1..3] == ["15s", "30s"])
+        .expect("15 s partition, 30 s TTL");
+    assert_eq!([mttr(top.0), mttr(top.1)], [234.0, 10.0]);
+
+    // Stale samples rise with partition length for each (level, TTL).
+    for level in 0..2 {
+        for ttl in ["30s", "90s"] {
+            let series: Vec<(u32, f64)> = rows
+                .iter()
+                .skip(level)
+                .step_by(2)
+                .filter(|r| r[2] == ttl)
+                .map(|r| (secs(&r[1]), num(&r[4])))
+                .collect();
+            assert_eq!(series.len(), 4);
+            assert!(
+                series
+                    .windows(2)
+                    .all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1),
+                "{series:?}"
+            );
+        }
+    }
+
+    // The prose table: level, partition, TTL, MTTR (whole seconds or
+    // `never`), stale samples, E[c] to three places.
+    let table = [
+        ("announce/listen", "15s", "90s", "84", "573", "0.918"),
+        ("quasi (fb<=30%)", "15s", "90s", "10", "223", "0.956"),
+        ("announce/listen", "90s", "90s", "59", "3152", "0.787"),
+        ("quasi (fb<=30%)", "90s", "90s", "27", "2941", "0.819"),
+        ("announce/listen", "45s", "30s", "never", "4047", "0.731"),
+        ("quasi (fb<=30%)", "45s", "30s", "46", "1401", "0.883"),
+    ];
+    for (level, partition, ttl, t, stale, ec) in table {
+        let row = rows
+            .iter()
+            .find(|r| r[0] == level && r[1] == partition && r[2] == ttl)
+            .unwrap_or_else(|| panic!("no row {level} {partition} {ttl}"));
+        let m = mttr(row);
+        let shown = if m.is_finite() {
+            fixed(m, 0)
+        } else {
+            "never".into()
+        };
+        assert_eq!(
+            [shown, row[4].clone(), fixed(num(&row[6]), 3)],
+            [t, stale, ec],
+            "{level} {partition} {ttl}"
+        );
     }
 }

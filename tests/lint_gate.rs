@@ -3,11 +3,12 @@
 //! Clippy carries most of it: `clippy.toml` bans the types and methods of
 //! D001, D002, D005, D006 and D011; file-level `deny`s in `wire.rs` and
 //! the state-machine files carry D004 and D005; `[workspace.lints.clippy]`
-//! carries D009. This file runs that clippy over the workspace, pins each
-//! rule's seeded violations in `tests/lint_fixtures/` to their lines (so a
-//! typo'd path in `clippy.toml` fails here instead of passing silently),
-//! holds the residue clippy has no lint for: D007, D008 and D010, a line
-//! scan of the simulation crates, and keeps `clippy.toml`, DESIGN.md's
+//! carries D009. This file runs that clippy over the workspace (and,
+//! beside it, CI's rustdoc gate), pins each rule's seeded violations in
+//! `tests/lint_fixtures/` to their lines (so a typo'd path in
+//! `clippy.toml` fails here instead of passing silently), holds the
+//! residue clippy has no lint for: D007, D008 and D010, a line scan of
+//! the simulation crates, and keeps `clippy.toml`, DESIGN.md's
 //! rule table and the places that may suppress a ban in step.
 
 use std::path::Path;
@@ -42,6 +43,49 @@ fn workspace_is_clippy_clean() {
     assert!(
         out.status.success(),
         "`cargo clippy --workspace -- -D warnings` failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// The crates CI's "Docs" step documents.
+const DOC_CRATES: [&str; 8] = [
+    "softstate",
+    "sstp",
+    "ss-netsim",
+    "ss-sched",
+    "ss-queueing",
+    "ss-bench",
+    "ss-verify",
+    "ss-report",
+];
+
+/// CI's "Docs" step under plain `cargo test`: `cargo doc --no-deps` over
+/// the repo's own crates with rustdoc warnings denied, so a broken or
+/// private intra-doc link fails here too. Runs in a target directory of
+/// its own, like the clippy gate.
+#[test]
+fn rustdoc_is_warning_free() {
+    let ci = read(&root().join(".github/workflows/ci.yml"));
+    let step = &ci[ci.find("cargo doc --no-deps").expect("CI's Docs step")..];
+    let step = &step[..step.find("env:").expect("the step's env")];
+    let listed: Vec<&str> = (step.split_whitespace())
+        .skip_while(|w| *w != "-p")
+        .filter(|w| *w != "-p")
+        .collect();
+    assert_eq!(listed, DOC_CRATES, "the Docs step's -p list");
+
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = Command::new(cargo)
+        .args(["doc", "--quiet", "--offline", "--no-deps"])
+        .args(DOC_CRATES.iter().flat_map(|krate| ["-p", krate]))
+        .current_dir(root())
+        .env("CARGO_TARGET_DIR", root().join("target/doc-gate"))
+        .env("RUSTDOCFLAGS", "-D warnings")
+        .output()
+        .expect("run cargo doc");
+    assert!(
+        out.status.success(),
+        "`RUSTDOCFLAGS=-D warnings cargo doc --no-deps` failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
 }
